@@ -280,13 +280,6 @@ def _proposer_for_cached(
     return select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, height + view, rng)
 
 
-class Phase(Enum):
-    IDLE = "idle"
-    PRE_PREPARED = "pre_prepared"
-    PREPARED = "prepared"
-    COMMITTED = "committed"
-
-
 # Buffered future-height messages beyond this window are discarded.
 FUTURE_WINDOW = 16
 
@@ -306,7 +299,6 @@ class ConsensusState:
     role: str = "validator"  # "validator" | "observer"
     height: int = 1
     view: int = 0
-    phase: Phase = Phase.IDLE
     committed_chain: tuple[Block, ...] = field(default_factory=lambda: (genesis_block(),))
     mempool: tuple[Transaction, ...] = ()
     mempool_ids: frozenset[int] = frozenset()
@@ -516,7 +508,6 @@ def _apply_commit(
     committed.append(block)
     r.committed_chain = r.committed_chain + (block,)
     r.height += 1
-    r.phase = Phase.IDLE
     included = {tx.tx_id for tx in block.transactions}
     r.mempool = tuple(tx for tx in r.mempool if tx.tx_id not in included)
     r.mempool_ids = frozenset(i for i in r.mempool_ids if i not in included)
@@ -538,6 +529,35 @@ def _apply_commit(
     r.future = {h: msgs for h, msgs in r.future.items() if h > r.height}
     for buffered in replay:
         _ingest(r, buffered, vset, cfg)
+
+
+def _prepare_vote(
+    r: ConsensusState, vset: ValidatorSet, cfg: ProtocolConfig, outbound: list[ConsensusMessage]
+) -> bool:
+    """Cast this node's one prepare vote for its current view, if it holds a
+    proposal it may vote for."""
+    if r.view in r.prepare_sent:
+        return False
+    digest = _candidate_hash(r, vset, cfg)
+    if digest is None:
+        return False
+    r.prepare_sent[r.view] = digest
+    _add_vote(r.prepare_votes, (digest, r.view), r.node)
+    outbound.append(signed_message(r.node, Prepare(digest, r.height, r.view)))
+    return True
+
+
+def _commit_on_quorum(
+    r: ConsensusState, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
+    vset: ValidatorSet, now: float, cfg: ProtocolConfig, committed: list[Block],
+) -> bool:
+    """Commit the first stored block whose tally in ``votes`` reaches quorum
+    (``_apply_commit`` rebinds the tables, so ``votes`` is not mutated)."""
+    for (block_hash, _view), senders in votes.items():
+        if len(senders) >= quorum and block_hash in r.blocks:
+            _apply_commit(r, r.blocks[block_hash], vset, now, cfg, committed)
+            return True
+    return False
 
 
 def _advance(
@@ -562,32 +582,15 @@ def _advance(
         if cfg.kind is ProtocolKind.PURE_DPOS:
             # Single acknowledgment round: proposer's block commits on a
             # simple majority of distinct acks.
-            digest = _candidate_hash(r, vset, cfg)
-            if digest is not None and r.view not in r.prepare_sent:
-                r.prepare_sent[r.view] = digest
-                _add_vote(r.prepare_votes, (digest, r.view), r.node)
-                outbound.append(
-                    signed_message(r.node, Prepare(digest, r.height, r.view))
-                )
-                r.phase = Phase.PRE_PREPARED
-                changed = True
-            for (block_hash, view), senders in list(r.prepare_votes.items()):
-                if len(senders) >= quorum and block_hash in r.blocks:
-                    _apply_commit(r, r.blocks[block_hash], vset, now, cfg, committed)
-                    changed = True
-                    break
+            voted = _prepare_vote(r, vset, cfg, outbound)
+            acked = _commit_on_quorum(r, r.prepare_votes, quorum, vset, now, cfg, committed)
+            changed = voted or acked
             continue
 
         # Commit certificate: a commit quorum for a stored block wins
-        # outright, whatever view or phase this node is in.
-        done = False
-        for (block_hash, view), senders in list(r.commit_votes.items()):
-            if len(senders) >= quorum and block_hash in r.blocks:
-                _apply_commit(r, r.blocks[block_hash], vset, now, cfg, committed)
-                changed = True
-                done = True
-                break
-        if done:
+        # outright, whatever view this node is in.
+        if _commit_on_quorum(r, r.commit_votes, quorum, vset, now, cfg, committed):
+            changed = True
             continue
 
         # Optimistic fast path: commit on the proposer's signature alone
@@ -599,18 +602,8 @@ def _advance(
                 changed = True
                 continue
 
-        # Prepare-vote for the current view's proposal.
-        if r.view not in r.prepare_sent:
-            digest = _candidate_hash(r, vset, cfg)
-            if digest is not None:
-                r.prepare_sent[r.view] = digest
-                _add_vote(r.prepare_votes, (digest, r.view), r.node)
-                outbound.append(
-                    signed_message(r.node, Prepare(digest, r.height, r.view))
-                )
-                if r.phase is Phase.IDLE:
-                    r.phase = Phase.PRE_PREPARED
-                changed = True
+        if _prepare_vote(r, vset, cfg, outbound):
+            changed = True
 
         # Prepare quorum: lock on the block and commit-vote it.
         for (block_hash, view), senders in list(r.prepare_votes.items()):
@@ -619,7 +612,6 @@ def _advance(
             if view > r.locked_view:
                 r.locked_hash = block_hash
                 r.locked_view = view
-                r.phase = Phase.PREPARED
                 changed = True
             key = (block_hash, view)
             if key not in r.commit_sent:
@@ -645,7 +637,6 @@ def _advance(
             senders = r.view_change_votes.get(new_view, frozenset())
             if len(senders) >= quorum:
                 r.view = new_view
-                r.phase = Phase.IDLE
                 r.consecutive_view_changes += 1
                 r.timeout_deadline = now + cfg.timeout_s * (
                     cfg.timeout_backoff ** r.timeouts_since_commit
@@ -677,16 +668,3 @@ def on_timeout(
     _add_vote(r.view_change_votes, target, r.node)
     outbound.append(msg)
     return r, outbound
-
-
-def ingest_self_proposal(
-    state: ConsensusState,
-    block: Block,
-    vset: ValidatorSet,
-    now: float,
-    cfg: ProtocolConfig,
-) -> HandleResult:
-    """Proposer-side bookkeeping: run the proposer's own pre-prepare through
-    the same transition path every other validator uses."""
-    msg = signed_message(state.node, PrePrepare(block))
-    return handle_message(state, msg, vset, now, cfg)

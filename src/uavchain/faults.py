@@ -54,9 +54,6 @@ class FaultPlan:
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob must lie in [0, 1]")
 
-    def is_empty(self) -> bool:
-        return not (self.byzantine or self.ddos or self.spoof or self.drop_prob > 0)
-
     def check_tolerance(self, validator_ids: frozenset[NodeId], f: int) -> None:
         """Safety-mode guard: byzantine validators must stay within f.
 
@@ -67,6 +64,3 @@ class FaultPlan:
             raise ValueError(
                 f"{len(overlap)} byzantine validators exceeds tolerance f={f}"
             )
-
-
-EMPTY_PLAN = FaultPlan()

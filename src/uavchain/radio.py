@@ -143,8 +143,7 @@ def latency_components(
     )
 
 
-# Component presets for intra/inter-cluster links: 10 ms processing, 1 ms
+# Component preset for intra-cluster links: 10 ms processing, 1 ms
 # queuing at unit queue length, and service sized so those figures round-trip
 # through the scenario config.
 INTRA_CLUSTER_SERVICE = NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0)
-INTER_CLUSTER_SERVICE = NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0)

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from .consensus import (
     Mission,
@@ -112,7 +112,6 @@ class Scenario:
     duration_s: float = 30.0
     extra_delay_jitter_s: float = 0.0
     trace_detail: str = "events"  # "events" | "full"
-    attacks: Optional[FaultPlan] = None
 
     def __post_init__(self) -> None:
         if self.duration_s < 0:
@@ -185,7 +184,7 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
 
 # --- JSON (de)serialization --------------------------------------------------
 
-_SECTIONS = {"geometry", "fleet", "radio", "mobility", "consensus", "workload", "attacks", "run"}
+_SECTIONS = {"geometry", "fleet", "radio", "mobility", "consensus", "workload", "run"}
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
@@ -195,7 +194,7 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    d: dict[str, Any] = {
+    return {
         "geometry": {
             "area": [s.area.x_min, s.area.x_max, s.area.y_min, s.area.y_max, s.area.z_min, s.area.z_max],
             "base_stations": [list(p) for p in s.base_stations],
@@ -243,9 +242,6 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
             "trace_detail": s.trace_detail,
         },
     }
-    if s.attacks is not None:
-        d["attacks"] = fault_plan_to_dict(s.attacks)
-    return d
 
 
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
@@ -325,8 +321,6 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
         service_rate_msgs_per_s=float(run.get("service_rate_msgs_per_s", 1000.0)),
     )
 
-    attacks = fault_plan_from_dict(d["attacks"]) if "attacks" in d else None
-
     return Scenario(
         area=area,
         base_stations=tuple((float(p[0]), float(p[1])) for p in geom["base_stations"]),
@@ -341,7 +335,6 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
         duration_s=float(run.get("duration_s", 30.0)),
         extra_delay_jitter_s=float(run.get("extra_delay_jitter_s", 0.0)),
         trace_detail=str(run.get("trace_detail", "events")),
-        attacks=attacks,
     )
 
 

@@ -29,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import consensus as cons
 from .consensus import (
@@ -76,6 +76,9 @@ class TxForward:
     """Wire wrapper moving a client transaction to a validator's mempool."""
 
     tx: Transaction
+
+    def kind(self) -> str:
+        return "TxForward"
 
 
 @dataclass
@@ -179,16 +182,6 @@ class RunResult:
         return self.trace.hash_hex()
 
 
-# Event kind ordering inside the heap is (time, seq); kind is payload only.
-_EV_MOBILITY = "mobility"
-_EV_TX = "tx"
-_EV_QARR = "qarr"
-_EV_DELIVER = "deliver"
-_EV_PROPOSAL = "proposal"
-_EV_TIMEOUT = "timeout"
-_EV_JUNK = "junk"
-_EV_SYNC = "sync"
-
 # A validator that times out this many times in a row suspects it has fallen
 # behind and fetches the committed chain from its peers (state transfer).
 SYNC_AFTER_TIMEOUTS = 2
@@ -220,7 +213,7 @@ class Simulation:
         self.now = 0.0
         self._seq = 0
         self._rec_seq = 0
-        self._heap: list[tuple[float, int, str, tuple]] = []
+        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self.trace = EventTrace()
         self.full_trace = scenario.trace_detail == "full"
 
@@ -271,12 +264,11 @@ class Simulation:
         self._tx_counter = 0
 
         self._init_waypoints()
-        self._schedule(scenario.mobility.dt, _EV_MOBILITY, ())
+        self._schedule(scenario.mobility.dt, Simulation._on_mobility, ())
         self._generate_workload()
         self._generate_junk()
         for node_id in sorted(self.vset.ids) if self.vset else ():
-            machine = self.nodes[node_id].machine
-            self._schedule(machine.timeout_deadline, _EV_TIMEOUT, (node_id, machine.timeout_deadline))
+            self._arm_timeout(node_id)
         self._schedule_proposer_duty(first=True)
 
     # -- setup ---------------------------------------------------------------
@@ -324,7 +316,7 @@ class Simulation:
                     kind=_MISSION_TX_KIND[node.mission],
                 )
                 self._tx_counter += 1
-                self._schedule(t, _EV_TX, (tx,))
+                self._schedule(t, Simulation._on_tx, (tx,))
                 t += rng.expovariate(rate)
 
     def _generate_junk(self) -> None:
@@ -335,14 +327,18 @@ class Simulation:
             end = window.start_s + window.duration_s
             while t < min(end, self.scenario.duration_s):
                 junk_digest = self.rng_attack.getrandbits(256).to_bytes(32, "big")
-                self._schedule(t, _EV_JUNK, (window.target, junk_digest))
+                self._schedule(t, Simulation._on_junk, (window.target, junk_digest))
                 t += self.rng_attack.expovariate(window.flood_rate_msgs_per_s)
 
     # -- event plumbing --------------------------------------------------------
 
-    def _schedule(self, time: float, kind: str, data: tuple) -> None:
+    def _schedule(self, time: float, handler: Callable[..., None], data: tuple) -> None:
+        """Queue ``handler(self, *data)`` at ``time``; seq is unique, so the
+        handler is never compared.  Handlers are class functions: a bound
+        method would cost an allocation per event and a reference cycle that
+        keeps a finished simulation alive until the next garbage collection."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, data))
+        heapq.heappush(self._heap, (time, self._seq, handler, data))
 
     def _record(self, kind: str, **fields: Any) -> None:
         self._rec_seq += 1
@@ -369,7 +365,7 @@ class Simulation:
     def _send(self, wire: Any, src: NodeId, dst: NodeId) -> None:
         self.counters["sent"] += 1
         if self.full_trace:
-            self._record("send", src=src, dst=dst, msg=_wire_kind(wire))
+            self._record("send", src=src, dst=dst, msg=wire.kind())
         if self.plan.drop_prob > 0 and self.rng_drop.random() < self.plan.drop_prob:
             self.counters["dropped"] += 1
             if self.full_trace:
@@ -389,7 +385,7 @@ class Simulation:
         if self.scenario.extra_delay_jitter_s > 0:
             jitter = self.rng_net.uniform(0.0, self.scenario.extra_delay_jitter_s)
         t_arr = self.now + trans_s + prop_s + jitter
-        self._schedule(t_arr, _EV_QARR, (dst, wire, src, self.now))
+        self._schedule(t_arr, Simulation._on_qarr, (dst, wire, src, self.now))
 
     def _broadcast(self, sender: NodeId, messages: list[ConsensusMessage]) -> None:
         strategy = self.plan.byzantine.get(sender)
@@ -459,13 +455,19 @@ class Simulation:
             if first:
                 earliest = max(earliest, self.scenario.consensus.min_block_interval_s)
             node.proposed.add((h, v))
-            self._schedule(earliest, _EV_PROPOSAL, (node_id, h, v))
+            self._schedule(earliest, Simulation._on_proposal, (node_id, h, v))
 
     def _arm_timeout(self, node_id: NodeId) -> None:
+        # DPoS has no view change, so its deadline never moves on a timeout;
+        # re-arming it would refire at the same instant forever.
+        if self.protocol is ProtocolKind.PURE_DPOS:
+            return
         machine = self.nodes[node_id].machine
         if machine is None:  # node left the validator set mid-absorb
             return
-        self._schedule(machine.timeout_deadline, _EV_TIMEOUT, (node_id, machine.timeout_deadline))
+        self._schedule(
+            machine.timeout_deadline, Simulation._on_timeout, (node_id, machine.timeout_deadline)
+        )
 
     def _absorb_result(self, node_id: NodeId, result: cons.HandleResult) -> None:
         node = self.nodes[node_id]
@@ -578,7 +580,7 @@ class Simulation:
         self._record("mobility_tick")
         nxt = self.now + dt
         if nxt < scn.duration_s:
-            self._schedule(nxt, _EV_MOBILITY, ())
+            self._schedule(nxt, Simulation._on_mobility, ())
 
     def _on_tx(self, tx: Transaction) -> None:
         origin = self.nodes[tx.origin]
@@ -605,13 +607,13 @@ class Simulation:
             return
         start, _wait = admitted
         deliver_at = start + self.scenario.service.proc_latency_s
-        self._schedule(deliver_at, _EV_DELIVER, (dst, wire, src, sent_at))
+        self._schedule(deliver_at, Simulation._on_deliver, (dst, wire, src, sent_at))
 
     def _on_deliver(self, dst: NodeId, wire: Any, src: NodeId, sent_at: float) -> None:
         self.counters["delivered"] += 1
         if self.full_trace:
             self._record(
-                "deliver", src=src, dst=dst, msg=_wire_kind(wire),
+                "deliver", src=src, dst=dst, msg=wire.kind(),
                 latency=round(self.now - sent_at, 9),
             )
         node = self.nodes[dst]
@@ -627,7 +629,7 @@ class Simulation:
     def _on_junk(self, target: NodeId, junk_digest: bytes) -> None:
         self.counters["junk_injected"] += 1
         junk = forged_message(ATTACKER_ID, Prepare(junk_digest, 1, 0))
-        self._schedule(self.now, _EV_QARR, (target, junk, ATTACKER_ID, self.now))
+        self._schedule(self.now, Simulation._on_qarr, (target, junk, ATTACKER_ID, self.now))
 
     def _on_sync(self, node_id: NodeId) -> None:
         """State transfer: fast-forward a lagging validator to the committed
@@ -645,10 +647,7 @@ class Simulation:
         fresh.committed_chain = chain
         fresh.height = len(chain)
         fresh.view = chain[-1].view
-        committed_ids = {tx.tx_id for b in chain for tx in b.transactions}
-        fresh.mempool = tuple(tx for tx in machine.mempool if tx.tx_id not in committed_ids)
-        fresh.mempool_ids = frozenset(tx.tx_id for tx in fresh.mempool)
-        node.machine = fresh
+        node.machine = fresh.add_transactions(machine.mempool)
         self._record(
             "sync", node=node_id, from_height=machine.height, to_height=fresh.height,
         )
@@ -696,7 +695,7 @@ class Simulation:
             and not node.sync_pending
         ):
             node.sync_pending = True
-            self._schedule(self.now + SYNC_DELAY_S, _EV_SYNC, (node_id,))
+            self._schedule(self.now + SYNC_DELAY_S, Simulation._on_sync, (node_id,))
         self._arm_timeout(node_id)
 
     # -- main loop ------------------------------------------------------------------
@@ -704,27 +703,12 @@ class Simulation:
     def run(self, t_end: Optional[float] = None) -> RunResult:
         end = self.scenario.duration_s if t_end is None else t_end
         while self._heap:
-            time, seq, kind, data = self._heap[0]
+            time, _seq, handler, data = self._heap[0]
             if time > end:
                 break
             heapq.heappop(self._heap)
             self.now = time
-            if kind == _EV_MOBILITY:
-                self._on_mobility()
-            elif kind == _EV_TX:
-                self._on_tx(*data)
-            elif kind == _EV_QARR:
-                self._on_qarr(*data)
-            elif kind == _EV_DELIVER:
-                self._on_deliver(*data)
-            elif kind == _EV_PROPOSAL:
-                self._on_proposal(*data)
-            elif kind == _EV_TIMEOUT:
-                self._on_timeout(*data)
-            elif kind == _EV_JUNK:
-                self._on_junk(*data)
-            elif kind == _EV_SYNC:
-                self._on_sync(*data)
+            handler(self, *data)
         self.now = end
         self._finalize()
         return RunResult(
@@ -777,12 +761,6 @@ class Simulation:
             in_flight=in_flight,
             duration_s=self.now,
         )
-
-
-def _wire_kind(wire: Any) -> str:
-    if isinstance(wire, TxForward):
-        return "TxForward"
-    return wire.kind()
 
 
 def run(

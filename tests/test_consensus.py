@@ -6,7 +6,6 @@ import pytest
 
 from uavchain.consensus import (
     Mission,
-    Phase,
     ProposerPolicy,
     ProtocolConfig,
     ProtocolKind,
@@ -21,7 +20,6 @@ from uavchain.consensus import (
     elect_validators,
     handle_message,
     initial_state,
-    ingest_self_proposal,
     on_timeout,
     proposal_for_turn,
     proposer_distribution,
@@ -258,7 +256,7 @@ class TestHandleMessage:
         block, msg = self.make_proposal()
         state = initial_state(0, "validator", 0.0, self.cfg)
         result = handle_message(state, msg, self.vset, 0.1, self.cfg)
-        assert result.state.phase is Phase.PRE_PREPARED
+        assert result.state.prepare_sent == {0: block.block_hash}
         kinds = [type(m.body) for m in result.outbound]
         assert kinds == [Prepare]
         assert result.outbound[0].body.block_hash == block.block_hash
@@ -273,7 +271,7 @@ class TestHandleMessage:
         assert not any(isinstance(m.body, Commit) for m in out)
         state, out, _ = run_messages(state, [signed_message(3, prep)], self.vset, self.cfg)
         assert any(isinstance(m.body, Commit) for m in out)
-        assert state.phase is Phase.PREPARED
+        assert (state.locked_hash, state.locked_view) == (block.block_hash, 0)
 
     def test_commit_quorum_appends_block(self):
         block, msg = self.make_proposal()
@@ -286,7 +284,7 @@ class TestHandleMessage:
         assert [b.block_hash for b in committed] == [block.block_hash]
         assert state.height == 2
         assert state.committed_chain[-1] == block
-        assert state.phase is Phase.IDLE
+        assert state.prepare_sent == {} and state.locked_hash is None
 
     def test_stale_view_message_ignored(self):
         state = initial_state(0, "validator", 0.0, self.cfg)
@@ -340,7 +338,7 @@ class TestHandleMessage:
         handle_message(state, msg, self.vset, 0.0, self.cfg)
         assert state.prepare_votes == before_votes
         assert state.height == before_height
-        assert state.phase is Phase.IDLE
+        assert state.prepare_sent == {}
 
     def test_determinism_identical_inputs_identical_outputs(self):
         block, msg = self.make_proposal()
@@ -472,10 +470,11 @@ class TestViewChange:
         new_proposer = cfg.proposer_for(self.vset, 1, 1)
         assert new_proposer in states
         block = proposal_for_turn(states[new_proposer], cfg)
-        result = ingest_self_proposal(states[new_proposer], block, self.vset, 0.7, cfg)
+        pre_prepare = signed_message(new_proposer, PrePrepare(block))
+        result = handle_message(states[new_proposer], pre_prepare, self.vset, 0.7, cfg)
         states[new_proposer] = result.state
         broadcast(new_proposer, result.outbound)
-        broadcast(new_proposer, [signed_message(new_proposer, PrePrepare(block))])
+        broadcast(new_proposer, [pre_prepare])
         committed_any = []
         for _ in range(6):
             for node in sorted(states):

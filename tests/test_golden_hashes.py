@@ -1,0 +1,40 @@
+"""Trace hashes pinned across commits.
+
+Every other determinism test compares two runs of the same code.  These
+pins compare against hashes recorded from earlier code, so a refactor that
+silently changes any event, its order or its fields fails here.  A change
+that alters a trace on purpose updates the pin and lists the old and new
+hash in CHANGES.md.
+"""
+
+import pytest
+
+from uavchain.consensus import ProtocolKind
+from uavchain.faults import FaultPlan
+from uavchain.harness import canonical_fault_plan
+from uavchain.simnet import run
+
+from conftest import mini_scenario
+
+
+FAULT_FREE = {
+    ProtocolKind.HYBRID: "834e19963cd30eedad67416a73dbe0916ecd1263f78ce47f491b150a863c1264",
+    ProtocolKind.PURE_PBFT: "675b403ad41743591ef51fdc7b40b70478d2a5f3504962a09cfa17c99d532d53",
+    ProtocolKind.PURE_DPOS: "d321623ad3e76f49b075b8ff3b43e1837def7a5c7860cb648bc6a03043dd410e",
+}
+
+
+@pytest.mark.parametrize("protocol", list(FAULT_FREE), ids=lambda p: p.value)
+def test_fault_free_run_hash(protocol):
+    result = run(mini_scenario(7, duration=2.0), FaultPlan(), protocol, 1)
+    assert result.trace_hash() == FAULT_FREE[protocol]
+
+
+def test_canonical_attack_full_trace_hash():
+    # Equivocators, a DDoS window, view changes, tail drops and state
+    # transfer all occur in this run; the election reruns every five blocks.
+    scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+    result = run(scn, canonical_fault_plan(scn, 2), ProtocolKind.HYBRID, 2)
+    kinds = {r["kind"] for r in result.trace.records}
+    assert {"timeout", "view_adopted", "sync", "drop"} <= kinds
+    assert result.trace_hash() == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"

@@ -57,6 +57,14 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="radio"):
             scenario_from_dict(doc)
 
+    def test_attacks_section_rejected(self):
+        # Fault plans come only from `simulate --attacks`; a scenario section
+        # would be accepted and never applied.
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["attacks"] = fault_plan_to_dict(FaultPlan(drop_prob=0.1))
+        with pytest.raises(ScenarioError, match="attacks"):
+            scenario_from_dict(doc)
+
     def test_region_outside_area_rejected(self):
         doc = scenario_to_dict(build_hurricane_scenario())
         doc["fleet"]["rescue"]["region"] = [20_000.0, 30_000.0, 20_000.0, 24_000.0]

@@ -92,7 +92,7 @@ class TestDeliveryLatency:
         msg = signed_message(a, Prepare(b"\x00" * 32, 1, 0))
         sim._wire_bits = lambda wire: msg_bits  # pin the payload size
         sim._send(msg, a, b)
-        deliver_events = [e for e in sim._heap if e[2] == "qarr"]
+        deliver_events = [e for e in sim._heap if e[2] is Simulation._on_qarr]
         assert len(deliver_events) == 1
         sim.run(t_end=0.1)
         first = [r for r in sim.trace.records if r["kind"] == "deliver"][0]
@@ -278,3 +278,30 @@ class TestChains:
         offered = {r["tx"] for r in result.trace.by_kind("tx_arrival")}
         committed = {t for r in result.trace.by_kind("block") for t in r["txs"]}
         assert committed <= offered
+
+
+class TestDposTimeouts:
+    def test_stalled_dpos_round_does_not_stop_the_clock(self, monkeypatch):
+        # Seed 1000 of the desk scenario goes past its first DPoS deadline
+        # without a commit.  DPoS has no view change, so a timeout that
+        # re-armed the same deadline would refire at that instant forever;
+        # the guard turns such a livelock into a failure instead of a hang.
+        from uavchain import consensus as cons
+        from uavchain.harness import build_desk_scenario
+
+        original = cons.on_timeout
+        stuck = {"now": None, "calls": 0}
+
+        def guarded(state, now, cfg):
+            if now == stuck["now"]:
+                stuck["calls"] += 1
+                if stuck["calls"] >= 1000:
+                    raise AssertionError(f"simulated clock stuck at t={now}")
+            else:
+                stuck["now"], stuck["calls"] = now, 0
+            return original(state, now, cfg)
+
+        monkeypatch.setattr(cons, "on_timeout", guarded)
+        result = run(build_desk_scenario({"duration_s": 1.0}), FaultPlan(), ProtocolKind.PURE_DPOS, 1000)
+        assert result.trace.by_kind("end")[-1]["duration_s"] == 1.0
+        assert result.counters["blocks_committed"] > 0
