@@ -323,7 +323,6 @@ class ConsensusState:
 
     timeout_deadline: float = 0.0
     timeouts_since_commit: int = 0
-    consecutive_view_changes: int = 0
     observed_fault: bool = False
 
     invalid_signature_count: int = 0
@@ -522,7 +521,6 @@ def _apply_commit(
     r.locked_hash = None
     r.locked_view = -1
     r.timeouts_since_commit = 0
-    r.consecutive_view_changes = 0
     r.timeout_deadline = now + cfg.timeout_s
     # Replay anything buffered for the height we just reached.
     replay = r.future.pop(r.height, ())
@@ -637,7 +635,6 @@ def _advance(
             senders = r.view_change_votes.get(new_view, frozenset())
             if len(senders) >= quorum:
                 r.view = new_view
-                r.consecutive_view_changes += 1
                 r.timeout_deadline = now + cfg.timeout_s * (
                     cfg.timeout_backoff ** r.timeouts_since_commit
                 )

@@ -28,9 +28,6 @@ class DdosWindow:
     duration_s: float
     flood_rate_msgs_per_s: float
 
-    def active(self, now: float) -> bool:
-        return self.start_s <= now < self.start_s + self.duration_s
-
 
 @dataclass(frozen=True)
 class SpoofWindow:

@@ -1,13 +1,15 @@
 """Experiment harness: scenario construction, metrics, comparison, export.
 
 The hurricane scenario mirrors the reference deployment: a 25 km x 25 km
-urban area, 16 base stations on a 4x4 grid clustered in one quadrant, four
-corner relief camps, two opposite-edge adversary zones, and a 200-UAV fleet
-of 50 connectivity, 100 delivery, 25 rescue, and 25 assessment drones.
-Connectivity and delivery clusters operate within 10 km of the base
-stations; the rescue cluster is deployed at least 20 km from every base
-station.  Radio constants: 915 MHz carrier, 1 W transmit power, 6 dBi gains,
-10 MHz bandwidth.
+urban area and a 200-UAV fleet of 50 connectivity, 100 delivery, 25 rescue,
+and 25 assessment drones.  The reference deployment also has 16 base
+stations on a 4x4 grid in one quadrant, four corner relief camps and two
+adversary zones; the simulator models only UAV-to-UAV links, so none of
+them is part of a scenario.  The station grid fixes where the mission
+regions sit: connectivity and delivery clusters operate within 10 km of a
+station, and the rescue cluster at least 20 km from every station.  Radio
+constants: 915 MHz carrier, 1 W transmit power, 6 dBi gains, 10 MHz
+bandwidth.
 
 Scenario-level assumptions (documented, overridable): offered load is
 1 tx/s per UAV; transaction payloads are 60 kbit (imagery-bearing field
@@ -120,12 +122,6 @@ class MetricsReport:
 # --- scenario builders ---------------------------------------------------------
 
 
-def _grid(x0: float, y0: float, count: int, spacing: float) -> tuple[tuple[float, float], ...]:
-    return tuple(
-        (x0 + i * spacing, y0 + j * spacing) for j in range(count) for i in range(count)
-    )
-
-
 def build_hurricane_scenario(overrides: Optional[dict[str, Any]] = None) -> Scenario:
     """The reference hurricane-response experiment with optional overrides.
 
@@ -136,16 +132,9 @@ def build_hurricane_scenario(overrides: Optional[dict[str, Any]] = None) -> Scen
     area = AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0)
     scenario = Scenario(
         area=area,
-        # 16 stations, 4x4; compressed into one quadrant so the rescue zone
-        # can sit >= 20 km from every station inside the 25 km box.
-        base_stations=_grid(500.0, 500.0, 4, 1500.0),
-        relief_camps=(
-            (500.0, 500.0), (24_500.0, 500.0), (500.0, 24_500.0), (24_500.0, 24_500.0),
-        ),
-        adversary_zones=(
-            Region(0.0, 2_000.0, 10_000.0, 15_000.0),
-            Region(23_000.0, 25_000.0, 10_000.0, 15_000.0),
-        ),
+        # Regions are placed against the reference 4x4 base-station grid
+        # (500 m to 5 km on both axes; not simulated): connectivity and
+        # delivery within 10 km of a station, rescue >= 20 km from all.
         fleet={
             Mission.CONNECTIVITY: ClusterSpec(50, Region(2_000.0, 8_000.0, 2_000.0, 8_000.0), stake=1.0),
             Mission.DELIVERY: ClusterSpec(100, Region(0.0, 12_000.0, 0.0, 12_000.0), stake=0.3),
@@ -393,15 +382,12 @@ def run_experiment(
     return report, result
 
 
-def compare_protocols(
-    scenario: Scenario, seeds: Sequence[int], fault_plan: Optional[FaultPlan] = None
-) -> list[MetricsReport]:
-    """Run all three protocols on identical (scenario, seed) pairs."""
-    plan = fault_plan if fault_plan is not None else FaultPlan()
+def compare_protocols(scenario: Scenario, seeds: Sequence[int]) -> list[MetricsReport]:
+    """Run all three protocols, fault-free, on identical (scenario, seed) pairs."""
     reports = []
     for protocol in (ProtocolKind.HYBRID, ProtocolKind.PURE_DPOS, ProtocolKind.PURE_PBFT):
         for seed in seeds:
-            report, _ = run_experiment(scenario, protocol, plan, seed)
+            report, _ = run_experiment(scenario, protocol, FaultPlan(), seed)
             reports.append(report)
     reports.sort(key=lambda r: (r.protocol, r.seed))
     return reports

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -100,9 +100,6 @@ class WorkloadParams:
 @dataclass(frozen=True)
 class Scenario:
     area: AreaBounds
-    base_stations: tuple[tuple[float, float], ...]
-    relief_camps: tuple[tuple[float, float], ...]
-    adversary_zones: tuple[Region, ...]
     fleet: dict[Mission, ClusterSpec]
     radio: LinkBudgetParams
     mobility: MobilityConfig
@@ -118,9 +115,6 @@ class Scenario:
             raise ScenarioError("duration must be >= 0")
         if self.trace_detail not in ("events", "full"):
             raise ScenarioError("trace_detail must be 'events' or 'full'")
-        for x, y in self.base_stations + self.relief_camps:
-            if not (self.area.x_min <= x <= self.area.x_max and self.area.y_min <= y <= self.area.y_max):
-                raise ScenarioError(f"ground point ({x}, {y}) outside area")
         for spec in self.fleet.values():
             r = spec.region
             if not (
@@ -197,9 +191,6 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     return {
         "geometry": {
             "area": [s.area.x_min, s.area.x_max, s.area.y_min, s.area.y_max, s.area.z_min, s.area.z_max],
-            "base_stations": [list(p) for p in s.base_stations],
-            "relief_camps": [list(p) for p in s.relief_camps],
-            "adversary_zones": [[z.x_min, z.x_max, z.y_min, z.y_max] for z in s.adversary_zones],
         },
         "fleet": {
             mission.value: {
@@ -251,7 +242,7 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
             raise ScenarioError(f"missing scenario section: {required}")
 
     geom = d["geometry"]
-    _check_keys(geom, {"area", "base_stations", "relief_camps", "adversary_zones"}, "geometry")
+    _check_keys(geom, {"area"}, "geometry")
     a = geom["area"]
     area = AreaBounds(a[0], a[1], a[2], a[3], a[4], a[5])
 
@@ -263,7 +254,7 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
             count=int(spec["count"]),
             region=Region(r[0], r[1], r[2], r[3]),
             stake=float(spec["stake"]),
-            stake_jitter=float(spec.get("stake_jitter", 0.1)),
+            stake_jitter=float(spec.get("stake_jitter", ClusterSpec.stake_jitter)),
         )
 
     radio_d = d["radio"]
@@ -288,19 +279,19 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
         },
         "consensus",
     )
-    w = cons.get("weights", [0.25, 0.25, 0.25, 0.25])
+    w = cons.get("weights", astuple(ScoreWeights()))
     consensus = ConsensusParams(
         n_validators=int(cons["n_validators"]),
         weights=ScoreWeights(w[0], w[1], w[2], w[3]),
-        policy=ProposerPolicy(cons.get("policy", "stake_weighted")),
-        timeout_s=float(cons.get("timeout_s", 0.5)),
-        timeout_backoff=float(cons.get("timeout_backoff", 2.0)),
-        max_txs_per_block=int(cons.get("max_txs_per_block", 16)),
-        min_block_interval_s=float(cons.get("min_block_interval_s", 0.025)),
-        reelect_every_blocks=int(cons.get("reelect_every_blocks", 50)),
-        optimistic_fast_path=bool(cons.get("optimistic_fast_path", False)),
-        vote_bits=int(cons.get("vote_bits", 1024)),
-        header_bits=int(cons.get("header_bits", 2048)),
+        policy=ProposerPolicy(cons.get("policy", ConsensusParams.policy.value)),
+        timeout_s=float(cons.get("timeout_s", ConsensusParams.timeout_s)),
+        timeout_backoff=float(cons.get("timeout_backoff", ConsensusParams.timeout_backoff)),
+        max_txs_per_block=int(cons.get("max_txs_per_block", ConsensusParams.max_txs_per_block)),
+        min_block_interval_s=float(cons.get("min_block_interval_s", ConsensusParams.min_block_interval_s)),
+        reelect_every_blocks=int(cons.get("reelect_every_blocks", ConsensusParams.reelect_every_blocks)),
+        optimistic_fast_path=bool(cons.get("optimistic_fast_path", ConsensusParams.optimistic_fast_path)),
+        vote_bits=int(cons.get("vote_bits", ConsensusParams.vote_bits)),
+        header_bits=int(cons.get("header_bits", ConsensusParams.header_bits)),
     )
 
     wl = d["workload"]
@@ -317,24 +308,21 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
         "run",
     )
     service = NodeServiceProfile(
-        proc_latency_s=float(run.get("proc_latency_s", 0.001)),
-        service_rate_msgs_per_s=float(run.get("service_rate_msgs_per_s", 1000.0)),
+        proc_latency_s=float(run.get("proc_latency_s", NodeServiceProfile.proc_latency_s)),
+        service_rate_msgs_per_s=float(run.get("service_rate_msgs_per_s", NodeServiceProfile.service_rate_msgs_per_s)),
     )
 
     return Scenario(
         area=area,
-        base_stations=tuple((float(p[0]), float(p[1])) for p in geom["base_stations"]),
-        relief_camps=tuple((float(p[0]), float(p[1])) for p in geom["relief_camps"]),
-        adversary_zones=tuple(Region(z[0], z[1], z[2], z[3]) for z in geom["adversary_zones"]),
         fleet=fleet,
         radio=radio,
         mobility=mobility,
         service=service,
         consensus=consensus,
         workload=workload,
-        duration_s=float(run.get("duration_s", 30.0)),
-        extra_delay_jitter_s=float(run.get("extra_delay_jitter_s", 0.0)),
-        trace_detail=str(run.get("trace_detail", "events")),
+        duration_s=float(run.get("duration_s", Scenario.duration_s)),
+        extra_delay_jitter_s=float(run.get("extra_delay_jitter_s", Scenario.extra_delay_jitter_s)),
+        trace_detail=str(run.get("trace_detail", Scenario.trace_detail)),
     )
 
 

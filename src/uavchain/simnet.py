@@ -56,7 +56,7 @@ from .domain import (
     signed_message,
 )
 from .faults import ByzantineStrategy, FaultPlan
-from .mobility import Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
+from .mobility import KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
 from .scenario import DeployedUav, Scenario, deploy_fleet
 
@@ -94,7 +94,6 @@ class NodeQueue:
     busy_until: float = 0.0
     pending_starts: list[float] = field(default_factory=list)
     served: int = 0
-    tail_dropped: int = 0
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
     total_len_seen: float = 0.0
@@ -113,7 +112,6 @@ class NodeQueue:
         None when the backlog is full and the message is tail-dropped."""
         qlen = self.length_at(now)
         if qlen >= self.max_backlog_msgs:
-            self.tail_dropped += 1
             return None
         start = max(now, self.busy_until)
         self.busy_until = start + 1.0 / self.service_rate
@@ -135,10 +133,6 @@ class SimNode:
     waypoint: Vec3 = ZERO
     proposed: set = field(default_factory=set)
     sync_pending: bool = False
-
-    @property
-    def node_id(self) -> NodeId:
-        return self.uav.profile.node
 
     @property
     def mission(self) -> Mission:
@@ -173,8 +167,6 @@ class EventTrace:
 class RunResult:
     trace: EventTrace
     counters: dict[str, int]
-    duration_s: float
-    validator_ids: tuple[NodeId, ...]
     chains: dict[NodeId, tuple[Block, ...]]
     queue_stats: dict[NodeId, dict[str, float]]
 
@@ -254,11 +246,12 @@ class Simulation:
                 node_id, "validator", 0.0, self.cfg
             )
 
-        # Canonical committed prefix: first commit seen per height.
-        self.first_commit: dict[int, tuple[float, Block]] = {}
+        # Canonical committed prefix: first commit seen per height.  A node
+        # commits h+1 only after h and state transfer adds no heights, so the
+        # keys run 1..H in insertion order.
+        self.first_commit: dict[int, Block] = {}
         # Chain-level block cadence; proposals respect a global floor.
         self.last_proposal_time: float = -math.inf
-        self._vc_seen: set = set()
         self._failed_proposer_logged: set = set()
         self._epoch_commits = 0
         self._tx_counter = 0
@@ -477,13 +470,10 @@ class Simulation:
             self._note_commit(node_id, block)
         if result.state.view != old.view:
             self.counters["view_changes"] += 1
-            key = (old.height, old.view, node_id)
-            if key not in self._vc_seen:
-                self._vc_seen.add(key)
-                self._record(
-                    "view_adopted", node=node_id, height=old.height,
-                    old_view=old.view, new_view=result.state.view,
-                )
+            self._record(
+                "view_adopted", node=node_id, height=old.height,
+                old_view=old.view, new_view=result.state.view,
+            )
             self._note_failed_proposer(old.height, old.view)
         if result.state.timeout_deadline != old.timeout_deadline:
             self._arm_timeout(node_id)
@@ -495,7 +485,7 @@ class Simulation:
     def _note_commit(self, node_id: NodeId, block: Block) -> None:
         self._record("commit", node=node_id, height=block.height, hash=hex_digest(block.block_hash))
         if block.height not in self.first_commit:
-            self.first_commit[block.height] = (self.now, block)
+            self.first_commit[block.height] = block
             self.counters["blocks_committed"] += 1
             self.counters["txs_committed"] += len(block.transactions)
             self._record(
@@ -523,7 +513,7 @@ class Simulation:
         """Epoch boundary: refresh history scores and re-run the election."""
         if self.protocol is ProtocolKind.PURE_PBFT:
             return
-        proposers = {b.proposer for _, b in self.first_commit.values()}
+        proposers = {b.proposer for b in self.first_commit.values()}
         for node_id in self.vset.ids:
             if node_id in proposers:
                 self.profiles[node_id] = cons.update_history(self.profiles[node_id], 1.0)
@@ -550,12 +540,7 @@ class Simulation:
         self._schedule_proposer_duty()
 
     def _canonical_chain(self) -> tuple[Block, ...]:
-        chain = [cons.genesis_block()]
-        h = 1
-        while h in self.first_commit:
-            chain.append(self.first_commit[h][1])
-            h += 1
-        return tuple(chain)
+        return (cons.genesis_block(), *self.first_commit.values())
 
     # -- event handlers -----------------------------------------------------------
 
@@ -714,8 +699,6 @@ class Simulation:
         return RunResult(
             trace=self.trace,
             counters=dict(self.counters),
-            duration_s=end,
-            validator_ids=self.vset.member_nodes() if self.vset else (),
             chains={
                 node_id: node.machine.committed_chain
                 for node_id, node in sorted(self.nodes.items())

@@ -20,9 +20,6 @@ def mini_scenario(
     area = AreaBounds(0.0, 5_000.0, 0.0, 5_000.0, 50.0, 300.0)
     return Scenario(
         area=area,
-        base_stations=((2_500.0, 2_500.0),),
-        relief_camps=(),
-        adversary_zones=(),
         fleet={Mission.CONNECTIVITY: ClusterSpec(n, Region(500.0, 4_500.0, 500.0, 4_500.0), stake=1.0)},
         radio=LinkBudgetParams(),
         mobility=MobilityConfig(area=area),

@@ -37,4 +37,11 @@ def test_canonical_attack_full_trace_hash():
     result = run(scn, canonical_fault_plan(scn, 2), ProtocolKind.HYBRID, 2)
     kinds = {r["kind"] for r in result.trace.records}
     assert {"timeout", "view_adopted", "sync", "drop"} <= kinds
+    # A node's (height, view) only grows, so it adopts a view change from a
+    # given (height, view) at most once; view_adopted relies on that.
+    adopted = [
+        (r["node"], r["height"], r["old_view"])
+        for r in result.trace.records if r["kind"] == "view_adopted"
+    ]
+    assert len(adopted) == len(set(adopted))
     assert result.trace_hash() == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"

@@ -5,6 +5,7 @@ import pytest
 from uavchain.consensus import Mission
 from uavchain.faults import ByzantineStrategy, FaultPlan
 from uavchain.harness import InvalidOverride, build_hurricane_scenario
+from uavchain.radio import NodeServiceProfile
 from uavchain.scenario import (
     ScenarioError,
     deploy_fleet,
@@ -65,6 +66,19 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="attacks"):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["base_stations", "relief_camps", "adversary_zones"])
+    def test_unsimulated_geometry_rejected(self, key):
+        # Only UAV-to-UAV links are simulated; ground points never entered a run.
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["geometry"][key] = []
+        with pytest.raises(ScenarioError, match=key):
+            scenario_from_dict(doc)
+
+    def test_missing_proc_latency_takes_profile_default(self):
+        doc = scenario_to_dict(mini_scenario(5))
+        del doc["run"]["proc_latency_s"]
+        assert scenario_from_dict(doc).service.proc_latency_s == NodeServiceProfile().proc_latency_s
+
     def test_region_outside_area_rejected(self):
         doc = scenario_to_dict(build_hurricane_scenario())
         doc["fleet"]["rescue"]["region"] = [20_000.0, 30_000.0, 20_000.0, 24_000.0]
@@ -100,14 +114,16 @@ class TestOverrides:
             build_hurricane_scenario({"radio.magic": 1})
 
 
+# The reference deployment's 16 base stations (4x4 grid, 1.5 km spacing).
+# They are not simulated; the hurricane mission regions are placed against them.
+BASE_STATIONS = [(500.0 + i * 1500.0, 500.0 + j * 1500.0) for j in range(4) for i in range(4)]
+
+
 class TestHurricaneGeometry:
     def test_reference_fleet_composition(self):
         scn = build_hurricane_scenario()
         counts = {m.value: spec.count for m, spec in scn.fleet.items()}
         assert counts == {"connectivity": 50, "delivery": 100, "rescue": 25, "assessment": 25}
-        assert len(scn.base_stations) == 16
-        assert len(scn.relief_camps) == 4
-        assert len(scn.adversary_zones) == 2
 
     def test_rescue_region_at_least_20km_from_every_base(self):
         scn = build_hurricane_scenario()
@@ -116,7 +132,7 @@ class TestHurricaneGeometry:
             (rescue.x_min, rescue.y_min), (rescue.x_min, rescue.y_max),
             (rescue.x_max, rescue.y_min), (rescue.x_max, rescue.y_max),
         ]
-        for bx, by in scn.base_stations:
+        for bx, by in BASE_STATIONS:
             for cx, cy in corners:
                 assert ((cx - bx) ** 2 + (cy - by) ** 2) ** 0.5 >= 20_000.0
 
@@ -130,7 +146,7 @@ class TestHurricaneGeometry:
             ]
             for cx, cy in corners:
                 nearest = min(
-                    ((cx - bx) ** 2 + (cy - by) ** 2) ** 0.5 for bx, by in scn.base_stations
+                    ((cx - bx) ** 2 + (cy - by) ** 2) ** 0.5 for bx, by in BASE_STATIONS
                 )
                 assert nearest <= 10_000.0
 

@@ -1,3 +1,5 @@
+import typing
+
 import pytest
 
 from uavchain.consensus import ProtocolKind
@@ -5,7 +7,7 @@ from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_m
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.mobility import Vec3
 from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
-from uavchain.simnet import NodeQueue, Simulation, run
+from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
 from conftest import mini_scenario
 
@@ -113,7 +115,15 @@ class TestDeliveryLatency:
         assert q.admit(0.0) is not None
         assert q.admit(0.0) is not None  # third waits behind two -> backlog 2
         assert q.admit(0.0) is None
-        assert q.tail_dropped == 1
+        assert q.served == 3
+
+
+class TestAnnotations:
+    def test_dataclass_annotations_resolve(self):
+        # Annotations are strings under `from __future__ import annotations`;
+        # each name they use must be importable from simnet.
+        for cls in (TxForward, NodeQueue, SimNode, RunResult):
+            typing.get_type_hints(cls)
 
 
 class TestByzantineTransforms:
