@@ -37,7 +37,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .domain import (
@@ -136,6 +136,8 @@ class ValidatorSet:
     """Elected members ordered by descending score, ties by ascending id."""
 
     members: tuple[ValidatorInfo, ...]
+    # Stake-weighted proposer draws by (seed, height, view); a set lasts one epoch.
+    draws: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) < 1:
@@ -148,7 +150,7 @@ class ValidatorSet:
     def n(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def ids(self) -> frozenset[NodeId]:
         return frozenset(m.node for m in self.members)
 
@@ -256,28 +258,24 @@ class ProtocolConfig:
     seed: int = 0
 
     def proposer_for(self, vset: ValidatorSet, height: int, view: int) -> NodeId:
-        return _proposer_for_cached(self, vset, height, view)
+        """The shared proposer schedule; a pure function of its arguments, so
+        all nodes agree on it without communicating."""
+        if self.kind is ProtocolKind.PURE_PBFT:
+            return vset.members[view % vset.n].node
+        if self.kind is ProtocolKind.PURE_DPOS:
+            return vset.members[height % vset.n].node
+        if self.policy is ProposerPolicy.ROUND_ROBIN:
+            return vset.members[(height + view) % vset.n].node
+        key = (self.seed, height, view)
+        if key not in vset.draws:
+            rng = substream(self.seed, f"proposer:{height}:{view}")
+            vset.draws[key] = select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, height + view, rng)
+        return vset.draws[key]
 
     def commit_quorum(self, n: int) -> int:
         if self.kind is ProtocolKind.PURE_DPOS:
             return majority_threshold(n)
         return quorum_threshold(n)
-
-
-@lru_cache(maxsize=200_000)
-def _proposer_for_cached(
-    cfg: ProtocolConfig, vset: ValidatorSet, height: int, view: int
-) -> NodeId:
-    """The shared proposer schedule; a pure function of its arguments, so all
-    nodes agree on it without communicating."""
-    if cfg.kind is ProtocolKind.PURE_PBFT:
-        return vset.members[view % vset.n].node
-    if cfg.kind is ProtocolKind.PURE_DPOS:
-        return vset.members[height % vset.n].node
-    if cfg.policy is ProposerPolicy.ROUND_ROBIN:
-        return select_proposer(vset, ProposerPolicy.ROUND_ROBIN, height + view)
-    rng = substream(cfg.seed, f"proposer:{height}:{view}")
-    return select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, height + view, rng)
 
 
 # Buffered future-height messages beyond this window are discarded.

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .consensus import (
     Mission,
@@ -181,10 +181,13 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
 _SECTIONS = {"geometry", "fleet", "radio", "mobility", "consensus", "workload", "run"}
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+def _check_keys(obj: dict, allowed: set[str], where: str, required: Iterable[str] = ()) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ScenarioError(f"missing key(s) in {where}: {missing}")
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
@@ -236,19 +239,17 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 
 
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
-    _check_keys(d, _SECTIONS, "scenario")
-    for required in ("geometry", "fleet", "radio", "mobility", "consensus", "workload", "run"):
-        if required not in d:
-            raise ScenarioError(f"missing scenario section: {required}")
+    _check_keys(d, _SECTIONS, "scenario", required=sorted(_SECTIONS))
 
     geom = d["geometry"]
-    _check_keys(geom, {"area"}, "geometry")
+    _check_keys(geom, {"area"}, "geometry", required=("area",))
     a = geom["area"]
     area = AreaBounds(a[0], a[1], a[2], a[3], a[4], a[5])
 
     fleet: dict[Mission, ClusterSpec] = {}
     for name, spec in d["fleet"].items():
-        _check_keys(spec, {"count", "region", "stake", "stake_jitter"}, f"fleet.{name}")
+        required = ("count", "region", "stake")
+        _check_keys(spec, {*required, "stake_jitter"}, f"fleet.{name}", required=required)
         r = spec["region"]
         fleet[Mission(name)] = ClusterSpec(
             count=int(spec["count"]),
@@ -281,7 +282,7 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
     )
     w = cons.get("weights", astuple(ScoreWeights()))
     consensus = ConsensusParams(
-        n_validators=int(cons["n_validators"]),
+        n_validators=int(cons.get("n_validators", ConsensusParams.n_validators)),
         weights=ScoreWeights(w[0], w[1], w[2], w[3]),
         policy=ProposerPolicy(cons.get("policy", ConsensusParams.policy.value)),
         timeout_s=float(cons.get("timeout_s", ConsensusParams.timeout_s)),
@@ -297,8 +298,8 @@ def scenario_from_dict(d: dict[str, Any]) -> Scenario:
     wl = d["workload"]
     _check_keys(wl, {"tx_rate_per_uav", "payload_bits"}, "workload")
     workload = WorkloadParams(
-        tx_rate_per_uav=float(wl["tx_rate_per_uav"]),
-        payload_bits=int(wl["payload_bits"]),
+        tx_rate_per_uav=float(wl.get("tx_rate_per_uav", WorkloadParams.tx_rate_per_uav)),
+        payload_bits=int(wl.get("payload_bits", WorkloadParams.payload_bits)),
     )
 
     run = d["run"]

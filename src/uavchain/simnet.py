@@ -29,7 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import consensus as cons
 from .consensus import (
@@ -131,7 +131,8 @@ class SimNode:
     kin: KinematicState
     machine: Optional[ConsensusState] = None
     waypoint: Vec3 = ZERO
-    proposed: set = field(default_factory=set)
+    # The last (height, view) a proposal was armed for; a node's pair only grows.
+    armed: Optional[tuple[int, int]] = None
     sync_pending: bool = False
 
     @property
@@ -241,7 +242,8 @@ class Simulation:
         if enforce_tolerance and self.vset is not None:
             fault_plan.check_tolerance(self.vset.ids, byzantine_tolerance(self.vset.n))
 
-        for node_id in sorted(self.vset.ids) if self.vset else ():
+        validators = sorted(self.vset.ids) if self.vset else []
+        for node_id in validators:
             self.nodes[node_id].machine = cons.initial_state(
                 node_id, "validator", 0.0, self.cfg
             )
@@ -260,9 +262,9 @@ class Simulation:
         self._schedule(scenario.mobility.dt, Simulation._on_mobility, ())
         self._generate_workload()
         self._generate_junk()
-        for node_id in sorted(self.vset.ids) if self.vset else ():
+        for node_id in validators:
             self._arm_timeout(node_id)
-        self._schedule_proposer_duty(first=True)
+        self._schedule_proposer_duty(validators, first=True)
 
     # -- setup ---------------------------------------------------------------
 
@@ -422,22 +424,19 @@ class Simulation:
 
     # -- consensus plumbing ------------------------------------------------------
 
-    def _proposer_for(self, height: int, view: int) -> NodeId:
-        return self.cfg.proposer_for(self.vset, height, view)
-
-    def _schedule_proposer_duty(self, first: bool = False) -> None:
-        """Arm a proposal event for whichever validator leads its own (h, v)."""
-        if self.vset is None:
-            return
-        for node_id in sorted(self.vset.ids):
+    def _schedule_proposer_duty(self, node_ids: Iterable[NodeId], first: bool = False) -> None:
+        """Arm a proposal event for each of ``node_ids`` that leads its own
+        (h, v).  Callers pass the nodes whose (h, v) moved, or every validator
+        when the set itself changed; no other node's answer can change."""
+        for node_id in node_ids:
             node = self.nodes[node_id]
             machine = node.machine
             if machine is None:
                 continue
             h, v = machine.height, machine.view
-            if (h, v) in node.proposed:
+            if node.armed == (h, v):
                 continue
-            if self._proposer_for(h, v) != node_id:
+            if self.cfg.proposer_for(self.vset, h, v) != node_id:
                 continue
             if self.plan.byzantine.get(node_id) is ByzantineStrategy.SILENT:
                 continue
@@ -447,7 +446,7 @@ class Simulation:
             )
             if first:
                 earliest = max(earliest, self.scenario.consensus.min_block_interval_s)
-            node.proposed.add((h, v))
+            node.armed = (h, v)
             self._schedule(earliest, Simulation._on_proposal, (node_id, h, v))
 
     def _arm_timeout(self, node_id: NodeId) -> None:
@@ -465,6 +464,7 @@ class Simulation:
     def _absorb_result(self, node_id: NodeId, result: cons.HandleResult) -> None:
         node = self.nodes[node_id]
         old = node.machine
+        vset = self.vset
         node.machine = result.state
         for block in result.committed:
             self._note_commit(node_id, block)
@@ -479,8 +479,10 @@ class Simulation:
             self._arm_timeout(node_id)
         if result.outbound:
             self._broadcast(node_id, result.outbound)
-        if result.committed or result.state.view != old.view:
-            self._schedule_proposer_duty()
+        if self.vset is not vset:  # re-elected, possibly reordering members
+            self._schedule_proposer_duty(sorted(self.vset.ids))
+        elif result.committed or result.state.view != old.view:
+            self._schedule_proposer_duty((node_id,))
 
     def _note_commit(self, node_id: NodeId, block: Block) -> None:
         self._record("commit", node=node_id, height=block.height, hash=hex_digest(block.block_hash))
@@ -506,7 +508,7 @@ class Simulation:
         if key in self._failed_proposer_logged:
             return
         self._failed_proposer_logged.add(key)
-        failed = self._proposer_for(height, view)
+        failed = self.cfg.proposer_for(self.vset, height, view)
         self.profiles[failed] = cons.update_history(self.profiles[failed], 0.0)
 
     def _reelect(self) -> None:
@@ -537,7 +539,7 @@ class Simulation:
             machine.height = len(chain)
             self.nodes[node_id].machine = machine
             self._arm_timeout(node_id)
-        self._schedule_proposer_duty()
+        self._schedule_proposer_duty(sorted(new_set.ids))
 
     def _canonical_chain(self) -> tuple[Block, ...]:
         return (cons.genesis_block(), *self.first_commit.values())
@@ -637,14 +639,14 @@ class Simulation:
             "sync", node=node_id, from_height=machine.height, to_height=fresh.height,
         )
         self._arm_timeout(node_id)
-        self._schedule_proposer_duty()
+        self._schedule_proposer_duty((node_id,))
 
     def _on_proposal(self, node_id: NodeId, height: int, view: int) -> None:
         node = self.nodes[node_id]
         machine = node.machine
         if machine is None or machine.height != height or machine.view != view:
             return
-        if self._proposer_for(height, view) != node_id:
+        if self.cfg.proposer_for(self.vset, height, view) != node_id:
             return
         block = cons.proposal_for_turn(machine, self.cfg)
         self.last_proposal_time = self.now
@@ -662,18 +664,16 @@ class Simulation:
         machine = node.machine
         if machine is None or machine.timeout_deadline != deadline:
             return
-        if self.now < deadline:
-            return
+        # Fired at its deadline (DPoS arms none), so on_timeout calls a view change.
         new_state, outbound = cons.on_timeout(machine, self.now, self.cfg)
         node.machine = new_state
-        if outbound:
-            self._record("timeout", node=node_id, height=machine.height, view=machine.view)
-            if self.plan.byzantine.get(node_id) is not ByzantineStrategy.SILENT:
-                self._broadcast(node_id, outbound)
-            # A node's own view-change vote can complete a quorum locally.
-            for msg in outbound:
-                result = cons.handle_message(node.machine, msg, self.vset, self.now, self.cfg)
-                self._absorb_result(node_id, result)
+        self._record("timeout", node=node_id, height=machine.height, view=machine.view)
+        if self.plan.byzantine.get(node_id) is not ByzantineStrategy.SILENT:
+            self._broadcast(node_id, outbound)
+        # A node's own view-change vote can complete a quorum locally.
+        for msg in outbound:
+            result = cons.handle_message(node.machine, msg, self.vset, self.now, self.cfg)
+            self._absorb_result(node_id, result)
         if (
             node.machine is not None
             and node.machine.timeouts_since_commit >= SYNC_AFTER_TIMEOUTS

@@ -170,6 +170,27 @@ class TestProposerSelection:
         assert counts[1] / draws == pytest.approx(0.25, abs=0.01)
         assert counts[2] / draws == pytest.approx(0.50, abs=0.01)
 
+    def test_shared_set_keeps_each_seed_schedule(self):
+        # A set memoizes its stake-weighted draws, so the memo key must hold
+        # the seed: two configs sharing one set each get their own schedule.
+        stakes = [1.0, 2.0, 3.0, 4.0, 5.0]
+        shared = vset_of(5, stakes)
+        rounds = [(h, v) for h in range(1, 9) for v in range(3)]
+        schedules = []
+        for seed in (11, 12):
+            cfg = ProtocolConfig(seed=seed)
+            fresh = vset_of(5, stakes)
+            expected = [
+                select_proposer(fresh, ProposerPolicy.STAKE_WEIGHTED, h + v, substream(seed, f"proposer:{h}:{v}"))
+                for h, v in rounds
+            ]
+            assert [cfg.proposer_for(fresh, h, v) for h, v in rounds] == expected
+            assert [cfg.proposer_for(shared, h, v) for h, v in rounds] == expected
+            schedules.append(expected)
+        assert schedules[0] != schedules[1]
+        # The memo takes no part in equality or hashing.
+        assert shared == vset_of(5, stakes) and hash(shared) == hash(vset_of(5, stakes))
+
 
 class TestQuorum:
     @pytest.mark.parametrize("n,expected", [(1, 1), (3, 3), (4, 3), (5, 4), (6, 5), (7, 5), (9, 7), (10, 7), (12, 9)])

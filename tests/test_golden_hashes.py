@@ -7,11 +7,14 @@ that alters a trace on purpose updates the pin and lists the old and new
 hash in CHANGES.md.
 """
 
+import dataclasses
+
 import pytest
 
-from uavchain.consensus import ProtocolKind
-from uavchain.faults import FaultPlan
-from uavchain.harness import canonical_fault_plan
+from uavchain.consensus import ProtocolKind, elect_validators
+from uavchain.faults import ByzantineStrategy, FaultPlan
+from uavchain.harness import build_hurricane_scenario, canonical_fault_plan
+from uavchain.scenario import deploy_fleet
 from uavchain.simnet import run
 
 from conftest import mini_scenario
@@ -45,3 +48,26 @@ def test_canonical_attack_full_trace_hash():
     ]
     assert len(adopted) == len(set(adopted))
     assert result.trace_hash() == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"
+
+
+def test_reelection_with_changed_ids_hash():
+    # Seven of ten UAVs validate and the top-scored one stays silent, so its
+    # history drops and each re-election swaps one member in and one out.
+    scn = mini_scenario(10, duration=4.0, reelect_every=3)
+    scn = dataclasses.replace(scn, consensus=dataclasses.replace(scn.consensus, n_validators=7))
+    profiles = [u.profile for u in sorted(deploy_fleet(scn, 2), key=lambda u: u.profile.node)]
+    first = elect_validators(profiles, scn.consensus.weights, 7).members[0].node
+    plan = FaultPlan(byzantine={first: ByzantineStrategy.SILENT})
+    result = run(scn, plan, ProtocolKind.HYBRID, 2)
+    swaps = [(r["joined"], r["left"]) for r in result.trace.by_kind("reelection")]
+    assert swaps == [([4], [1]), ([5], [4]), ([1], [5])]
+    assert result.trace_hash() == "908d8399c83bc8c5cd2da37da5d278281a7b6926031cc471d3340c2dc5c92f56"
+
+
+def test_reelection_with_same_ids_hash():
+    # Ten re-elections keep the same 12 ids but can reorder the members, which
+    # moves the stake-weighted proposer of a (height, view) nobody has left.
+    scn = build_hurricane_scenario({"duration_s": 1.0, "consensus.reelect_every_blocks": 3})
+    result = run(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
+    assert not result.trace.by_kind("reelection")
+    assert result.trace_hash() == "ee9307be22452d724b1737cd52f2d477cef2c729393c3bf66c6296f8a61fd81b"

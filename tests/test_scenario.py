@@ -79,6 +79,32 @@ class TestValidation:
         del doc["run"]["proc_latency_s"]
         assert scenario_from_dict(doc).service.proc_latency_s == NodeServiceProfile().proc_latency_s
 
+    @pytest.mark.parametrize(
+        "section,key", [("consensus", "n_validators"), ("workload", "tx_rate_per_uav"), ("workload", "payload_bits")]
+    )
+    def test_missing_key_takes_dataclass_default(self, section, key):
+        scn = mini_scenario(15)
+        doc = scenario_to_dict(scn)
+        del doc[section][key]
+        params = getattr(scenario_from_dict(doc), section)
+        default = getattr(type(params)(), key)
+        assert default != getattr(getattr(scn, section), key)
+        assert getattr(params, key) == default
+
+    @pytest.mark.parametrize(
+        "path", ["geometry.area", "fleet.rescue.count", "fleet.rescue.region", "fleet.rescue.stake"]
+    )
+    def test_missing_required_key_names_section(self, path):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        *sections, key = path.split(".")
+        cursor = doc
+        for name in sections:
+            cursor = cursor[name]
+        del cursor[key]
+        where = ".".join(sections)
+        with pytest.raises(ScenarioError, match=rf"missing key\(s\) in {where}: \['{key}'\]"):
+            scenario_from_dict(doc)
+
     def test_region_outside_area_rejected(self):
         doc = scenario_to_dict(build_hurricane_scenario())
         doc["fleet"]["rescue"]["region"] = [20_000.0, 30_000.0, 20_000.0, 24_000.0]
