@@ -3,16 +3,19 @@
 A scenario pins geometry, fleet composition, radio constants, mobility
 limits, consensus parameters, and workload.  It stays seed-free: the same
 scenario with different seeds yields different (but reproducible) fleets
-and traffic.  Unknown keys anywhere in a scenario document are rejected.
+and traffic.  Unknown keys anywhere in a scenario document are rejected,
+and so are values of the wrong type or out of range.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import AbstractSet, Any, Callable, Iterable, NoReturn, get_args, get_origin, get_type_hints
 
 from .consensus import (
     Mission,
@@ -23,7 +26,7 @@ from .consensus import (
     UavProfile,
     substream,
 )
-from .faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
+from .faults import ByzantineStrategy, FaultPlan
 from .mobility import AreaBounds, KinematicState, MobilityConfig, Vec3
 from .radio import LinkBudgetParams, NodeServiceProfile
 
@@ -63,6 +66,8 @@ class ClusterSpec:
             raise ScenarioError("cluster count must be non-negative")
         if self.stake < 0:
             raise ScenarioError("cluster stake must be non-negative")
+        if not 0 <= self.stake_jitter <= 1:
+            raise ScenarioError("stake_jitter must lie in [0, 1], or a stake can turn negative")
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,20 @@ class ConsensusParams:
     optimistic_fast_path: bool = False
     vote_bits: int = 1024
     header_bits: int = 2048
+
+    def __post_init__(self) -> None:
+        # A negative message size runs the simulated clock backwards, a
+        # negative block size drops mempool entries, and a deadline that
+        # never moves past the clock stops it.
+        for name in ("max_txs_per_block", "min_block_interval_s", "vote_bits", "header_bits"):
+            if getattr(self, name) < 0:
+                raise ScenarioError(f"{name} must be >= 0")
+        if self.timeout_s <= 0:
+            raise ScenarioError("timeout_s must be > 0")
+        if self.timeout_backoff < 1:
+            raise ScenarioError("timeout_backoff must be >= 1")
+        if self.reelect_every_blocks < 1:
+            raise ScenarioError("reelect_every_blocks must be >= 1")
 
     def protocol_config(self, kind: ProtocolKind, seed: int) -> ProtocolConfig:
         return ProtocolConfig(
@@ -96,6 +115,10 @@ class WorkloadParams:
     tx_rate_per_uav: float = 1.0
     payload_bits: int = 2048
 
+    def __post_init__(self) -> None:
+        if self.tx_rate_per_uav < 0 or self.payload_bits < 0:
+            raise ScenarioError("tx_rate_per_uav and payload_bits must be >= 0")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -113,6 +136,8 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.duration_s < 0:
             raise ScenarioError("duration must be >= 0")
+        if self.extra_delay_jitter_s < 0:
+            raise ScenarioError("extra_delay_jitter_s must be >= 0")
         if self.trace_detail not in ("events", "full"):
             raise ScenarioError("trace_detail must be 'events' or 'full'")
         for spec in self.fleet.values():
@@ -177,193 +202,158 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
 
 
 # --- JSON (de)serialization --------------------------------------------------
+#
+# A section holds the fields of one dataclass: a key must name a field, a
+# field without a default is required, and a value must have the field's
+# type.  bool, int and str take exactly that JSON type, float takes any
+# number, an enum takes its value, a flat dataclass (Region, AreaBounds,
+# ScoreWeights, Vec3) a list of its fields, and a tuple of dataclasses a list
+# of sections.
 
 _SECTIONS = {"geometry", "fleet", "radio", "mobility", "consensus", "workload", "run"}
+# Scenario fields with sections of their own; the rest of Scenario sits in
+# `run`, next to the fields of NodeServiceProfile.
+_NESTED = ("area", "fleet", "radio", "mobility", "service", "consensus", "workload")
+_SCALARS = (float, int, bool, str)
+_Converter = Callable[[Any, str, str], Any]
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str, required: Iterable[str] = ()) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
+def _object(obj: Any, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where} must be an object, got {obj!r}")
+    return obj
+
+
+def _check_keys(obj: Any, allowed: AbstractSet[str], where: str, required: Iterable[str] = ()) -> None:
+    if not _object(obj, where).keys() <= allowed:
+        raise ScenarioError(f"unknown key(s) in {where}: {sorted(obj.keys() - allowed)}")
     missing = [key for key in required if key not in obj]
     if missing:
         raise ScenarioError(f"missing key(s) in {where}: {missing}")
 
 
+def _mistyped(value: Any, where: str, key: str, expected: str) -> NoReturn:
+    raise ScenarioError(f"{where}.{key} must be {expected}, got {value!r}")
+
+
+@functools.cache
+def _converter(tp: Any) -> _Converter:
+    """How a JSON value under ``where``.``key`` becomes a value of type ``tp``."""
+    if tp in _SCALARS:
+        types = (int, float) if tp is float else (tp,)
+        return lambda value, where, key: (
+            tp(value) if type(value) in types else _mistyped(value, where, key, tp.__name__)
+        )
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        values = [member.value for member in tp]
+        return lambda value, where, key: (
+            tp(value) if value in values else _mistyped(value, where, key, f"one of {values}")
+        )
+    if get_origin(tp) is tuple:
+        item = get_args(tp)[0]
+        return lambda value, where, key: (
+            tuple(_build(item, doc, f"{where}.{key}") for doc in value)
+            if type(value) is list else _mistyped(value, where, key, "list")
+        )
+    converters = list(_schema(tp)[0].values())
+    expected = f"a list of {len(converters)} numbers"
+    return lambda value, where, key: (
+        _construct(tp, f"{where}.{key}", *[convert(x, where, key) for convert, x in zip(converters, value)])
+        if type(value) is list and len(value) == len(converters) else _mistyped(value, where, key, expected)
+    )
+
+
+@functools.cache
+def _schema(cls: type, skip: tuple[str, ...] = ()) -> tuple[dict[str, _Converter], tuple[str, ...]]:
+    """(field name -> converter, required field names) for the fields of ``cls`` not in ``skip``."""
+    hints = get_type_hints(cls)
+    kept = [f for f in fields(cls) if f.name not in skip]
+    return (
+        {f.name: _converter(hints[f.name]) for f in kept},
+        tuple(f.name for f in kept if f.default is MISSING and f.default_factory is MISSING),
+    )
+
+
+def _read(cls: type, doc: Any, where: str, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """Keyword arguments for ``cls`` from one document section."""
+    converters, required = _schema(cls, skip)
+    _check_keys(doc, converters.keys(), where, required)
+    return {key: converters[key](value, where, key) for key, value in doc.items()}
+
+
+def _construct(cls: type, where: str, /, *args: Any, **kwargs: Any) -> Any:
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
+def _build(cls: type, doc: Any, where: str, **given: Any) -> Any:
+    """``cls`` from a section that holds every field but those ``given``."""
+    return _construct(cls, where, **given, **_read(cls, doc, where, tuple(given)))
+
+
+def _plain(value: Any) -> Any:
+    if type(value) in _SCALARS:
+        return value
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_to_dict(item) for item in value]
+    return [getattr(value, name) for name in _schema(type(value))[0]]
+
+
+def _to_dict(obj: Any, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    return {name: _plain(getattr(obj, name)) for name in _schema(type(obj), skip)[0]}
+
+
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
     return {
-        "geometry": {
-            "area": [s.area.x_min, s.area.x_max, s.area.y_min, s.area.y_max, s.area.z_min, s.area.z_max],
-        },
-        "fleet": {
-            mission.value: {
-                "count": spec.count,
-                "region": [spec.region.x_min, spec.region.x_max, spec.region.y_min, spec.region.y_max],
-                "stake": spec.stake,
-                "stake_jitter": spec.stake_jitter,
-            }
-            for mission, spec in s.fleet.items()
-        },
-        "radio": asdict(s.radio),
-        "mobility": {
-            "v_max": s.mobility.v_max,
-            "a_max": s.mobility.a_max,
-            "dt": s.mobility.dt,
-            "waypoint_arrival_radius": s.mobility.waypoint_arrival_radius,
-        },
-        "consensus": {
-            "n_validators": s.consensus.n_validators,
-            "weights": [s.consensus.weights.w1, s.consensus.weights.w2, s.consensus.weights.w3, s.consensus.weights.w4],
-            "policy": s.consensus.policy.value,
-            "timeout_s": s.consensus.timeout_s,
-            "timeout_backoff": s.consensus.timeout_backoff,
-            "max_txs_per_block": s.consensus.max_txs_per_block,
-            "min_block_interval_s": s.consensus.min_block_interval_s,
-            "reelect_every_blocks": s.consensus.reelect_every_blocks,
-            "optimistic_fast_path": s.consensus.optimistic_fast_path,
-            "vote_bits": s.consensus.vote_bits,
-            "header_bits": s.consensus.header_bits,
-        },
-        "workload": {
-            "tx_rate_per_uav": s.workload.tx_rate_per_uav,
-            "payload_bits": s.workload.payload_bits,
-        },
-        "run": {
-            "duration_s": s.duration_s,
-            "extra_delay_jitter_s": s.extra_delay_jitter_s,
-            "proc_latency_s": s.service.proc_latency_s,
-            "service_rate_msgs_per_s": s.service.service_rate_msgs_per_s,
-            "trace_detail": s.trace_detail,
-        },
+        "geometry": {"area": _plain(s.area)},
+        "fleet": {mission.value: _to_dict(spec) for mission, spec in s.fleet.items()},
+        "radio": _to_dict(s.radio),
+        "mobility": _to_dict(s.mobility, skip=("area",)),
+        "consensus": _to_dict(s.consensus),
+        "workload": _to_dict(s.workload),
+        "run": {**_to_dict(s, skip=_NESTED), **_to_dict(s.service)},
     }
 
 
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
     _check_keys(d, _SECTIONS, "scenario", required=sorted(_SECTIONS))
-
-    geom = d["geometry"]
-    _check_keys(geom, {"area"}, "geometry", required=("area",))
-    a = geom["area"]
-    area = AreaBounds(a[0], a[1], a[2], a[3], a[4], a[5])
-
-    fleet: dict[Mission, ClusterSpec] = {}
-    for name, spec in d["fleet"].items():
-        required = ("count", "region", "stake")
-        _check_keys(spec, {*required, "stake_jitter"}, f"fleet.{name}", required=required)
-        r = spec["region"]
-        fleet[Mission(name)] = ClusterSpec(
-            count=int(spec["count"]),
-            region=Region(r[0], r[1], r[2], r[3]),
-            stake=float(spec["stake"]),
-            stake_jitter=float(spec.get("stake_jitter", ClusterSpec.stake_jitter)),
-        )
-
-    radio_d = d["radio"]
-    _check_keys(
-        radio_d,
-        {"tx_power_w", "tx_gain_dbi", "rx_gain_dbi", "carrier_hz", "noise_power_w", "bandwidth_hz"},
-        "radio",
-    )
-    radio = LinkBudgetParams(**radio_d)
-
-    mob = d["mobility"]
-    _check_keys(mob, {"v_max", "a_max", "dt", "waypoint_arrival_radius"}, "mobility")
-    mobility = MobilityConfig(area=area, **mob)
-
-    cons = d["consensus"]
-    _check_keys(
-        cons,
-        {
-            "n_validators", "weights", "policy", "timeout_s", "timeout_backoff",
-            "max_txs_per_block", "min_block_interval_s", "reelect_every_blocks",
-            "optimistic_fast_path", "vote_bits", "header_bits",
-        },
-        "consensus",
-    )
-    w = cons.get("weights", astuple(ScoreWeights()))
-    consensus = ConsensusParams(
-        n_validators=int(cons.get("n_validators", ConsensusParams.n_validators)),
-        weights=ScoreWeights(w[0], w[1], w[2], w[3]),
-        policy=ProposerPolicy(cons.get("policy", ConsensusParams.policy.value)),
-        timeout_s=float(cons.get("timeout_s", ConsensusParams.timeout_s)),
-        timeout_backoff=float(cons.get("timeout_backoff", ConsensusParams.timeout_backoff)),
-        max_txs_per_block=int(cons.get("max_txs_per_block", ConsensusParams.max_txs_per_block)),
-        min_block_interval_s=float(cons.get("min_block_interval_s", ConsensusParams.min_block_interval_s)),
-        reelect_every_blocks=int(cons.get("reelect_every_blocks", ConsensusParams.reelect_every_blocks)),
-        optimistic_fast_path=bool(cons.get("optimistic_fast_path", ConsensusParams.optimistic_fast_path)),
-        vote_bits=int(cons.get("vote_bits", ConsensusParams.vote_bits)),
-        header_bits=int(cons.get("header_bits", ConsensusParams.header_bits)),
-    )
-
-    wl = d["workload"]
-    _check_keys(wl, {"tx_rate_per_uav", "payload_bits"}, "workload")
-    workload = WorkloadParams(
-        tx_rate_per_uav=float(wl.get("tx_rate_per_uav", WorkloadParams.tx_rate_per_uav)),
-        payload_bits=int(wl.get("payload_bits", WorkloadParams.payload_bits)),
-    )
-
-    run = d["run"]
-    _check_keys(
-        run,
-        {"duration_s", "extra_delay_jitter_s", "proc_latency_s", "service_rate_msgs_per_s", "trace_detail"},
-        "run",
-    )
-    service = NodeServiceProfile(
-        proc_latency_s=float(run.get("proc_latency_s", NodeServiceProfile.proc_latency_s)),
-        service_rate_msgs_per_s=float(run.get("service_rate_msgs_per_s", NodeServiceProfile.service_rate_msgs_per_s)),
-    )
-
+    _check_keys(d["geometry"], {"area"}, "geometry", required=("area",))
+    area = _converter(AreaBounds)(d["geometry"]["area"], "geometry", "area")
+    _check_keys(d["fleet"], {mission.value for mission in Mission}, "fleet")
+    run = _object(d["run"], "run")
+    service_keys = _schema(NodeServiceProfile)[0]
     return Scenario(
         area=area,
-        fleet=fleet,
-        radio=radio,
-        mobility=mobility,
-        service=service,
-        consensus=consensus,
-        workload=workload,
-        duration_s=float(run.get("duration_s", Scenario.duration_s)),
-        extra_delay_jitter_s=float(run.get("extra_delay_jitter_s", Scenario.extra_delay_jitter_s)),
-        trace_detail=str(run.get("trace_detail", Scenario.trace_detail)),
+        fleet={Mission(name): _build(ClusterSpec, spec, f"fleet.{name}") for name, spec in d["fleet"].items()},
+        radio=_build(LinkBudgetParams, d["radio"], "radio"),
+        mobility=_build(MobilityConfig, d["mobility"], "mobility", area=area),
+        service=_build(NodeServiceProfile, {k: v for k, v in run.items() if k in service_keys}, "run"),
+        consensus=_build(ConsensusParams, d["consensus"], "consensus"),
+        workload=_build(WorkloadParams, d["workload"], "workload"),
+        **_read(Scenario, {k: v for k, v in run.items() if k not in service_keys}, "run", skip=_NESTED),
     )
 
 
 def fault_plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
     return {
         "byzantine": {str(node): strat.value for node, strat in sorted(plan.byzantine.items())},
-        "ddos": [
-            {"target": w.target, "start_s": w.start_s, "duration_s": w.duration_s,
-             "flood_rate_msgs_per_s": w.flood_rate_msgs_per_s}
-            for w in plan.ddos
-        ],
-        "spoof": [
-            {"target": w.target, "offset": [w.offset.x, w.offset.y, w.offset.z],
-             "start_s": w.start_s, "duration_s": w.duration_s}
-            for w in plan.spoof
-        ],
-        "drop_prob": plan.drop_prob,
+        **_to_dict(plan, skip=("byzantine",)),
     }
 
 
 def fault_plan_from_dict(d: dict[str, Any]) -> FaultPlan:
-    _check_keys(d, {"byzantine", "ddos", "spoof", "drop_prob"}, "attacks")
-    byz = {int(node): ByzantineStrategy(strat) for node, strat in d.get("byzantine", {}).items()}
-    ddos = []
-    for w in d.get("ddos", []):
-        _check_keys(w, {"target", "start_s", "duration_s", "flood_rate_msgs_per_s"}, "attacks.ddos")
-        ddos.append(DdosWindow(int(w["target"]), float(w["start_s"]), float(w["duration_s"]),
-                               float(w["flood_rate_msgs_per_s"])))
-    spoof = []
-    for w in d.get("spoof", []):
-        _check_keys(w, {"target", "offset", "start_s", "duration_s"}, "attacks.spoof")
-        o = w["offset"]
-        spoof.append(SpoofWindow(int(w["target"]), Vec3(o[0], o[1], o[2]),
-                                 float(w["start_s"]), float(w["duration_s"])))
-    return FaultPlan(
-        byzantine=byz,
-        ddos=tuple(ddos),
-        spoof=tuple(spoof),
-        drop_prob=float(d.get("drop_prob", 0.0)),
-    )
+    _object(d, "attacks")
+    byzantine = {}
+    for node, strategy in _object(d.get("byzantine", {}), "attacks.byzantine").items():
+        if not str(node).isdigit():
+            raise ScenarioError(f"attacks.byzantine keys must be node ids, got {node!r}")
+        byzantine[int(node)] = _converter(ByzantineStrategy)(strategy, "attacks.byzantine", node)
+    rest = {k: v for k, v in d.items() if k != "byzantine"}
+    return _build(FaultPlan, rest, "attacks", byzantine=byzantine)
 
 
 def load_scenario(path: str | Path) -> Scenario:

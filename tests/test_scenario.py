@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 
 from uavchain.consensus import Mission
 from uavchain.faults import ByzantineStrategy, FaultPlan
-from uavchain.harness import InvalidOverride, build_hurricane_scenario
+from uavchain.harness import InvalidOverride, build_desk_scenario, build_hurricane_scenario
 from uavchain.radio import NodeServiceProfile
 from uavchain.scenario import (
     ScenarioError,
@@ -18,6 +19,13 @@ from uavchain.scenario import (
 )
 
 from conftest import mini_scenario
+
+
+def _set_path(doc, path, value):
+    *sections, key = path.split(".")
+    for name in sections:
+        doc = doc[name]
+    doc[key] = value
 
 
 class TestRoundTrip:
@@ -116,6 +124,99 @@ class TestValidation:
         doc["consensus"]["n_validators"] = 50
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("geometry.area", [0.0, 25_000.0, 0.0, 25_000.0, 50.0]),
+            ("geometry.area", [0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0, 900.0]),
+            ("consensus.weights", [0.2] * 5),
+            # bool("false") is True: a cast would turn the fast path on.
+            ("consensus.optimistic_fast_path", "false"),
+            ("consensus.optimistic_fast_path", 0),
+            ("fleet.rescue.count", 2.7),
+            ("consensus.n_validators", 12.0),
+            ("workload.payload_bits", True),
+            ("consensus.policy", 1),
+            ("radio.tx_power_w", "1.0"),
+            ("run.trace_detail", ["full"]),
+        ],
+    )
+    def test_malformed_value_rejected(self, path, value):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        _set_path(doc, path, value)
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(path)} must be "):
+            scenario_from_dict(doc)
+
+    def test_float_field_takes_an_integer(self):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["run"]["duration_s"] = 30
+        doc["consensus"]["weights"] = [1, 1, 1, 1]
+        scn = scenario_from_dict(doc)
+        assert scn.duration_s == 30.0 and type(scn.duration_s) is float
+        assert scenario_to_dict(scn)["consensus"]["weights"] == [0.25] * 4
+
+    def test_unknown_mission_rejected(self):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["fleet"]["firefighting"] = doc["fleet"].pop("rescue")
+        with pytest.raises(ScenarioError, match=r"unknown key\(s\) in fleet: \['firefighting'\]"):
+            scenario_from_dict(doc)
+
+    def test_section_that_is_not_an_object_rejected(self):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["radio"] = []
+        with pytest.raises(ScenarioError, match="radio must be an object"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"ddos": [{"target": 3, "start_s": 1.0, "duration_s": 2.0}]},
+             r"missing key\(s\) in attacks\.ddos: \['flood_rate_msgs_per_s'\]"),
+            ({"ddos": [{"target": 3.0, "start_s": 1.0, "duration_s": 2.0, "flood_rate_msgs_per_s": 100}]},
+             r"attacks\.ddos\.target must be int"),
+            ({"spoof": [{"target": 3, "offset": [1.0, 2.0], "start_s": 0.0, "duration_s": 1.0}]},
+             r"attacks\.spoof\.offset must be a list of 3 numbers"),
+            ({"byzantine": {"three": "silent"}}, r"attacks\.byzantine keys must be node ids"),
+            ({"byzantine": {"3": "sleepy"}}, r"attacks\.byzantine\.3 must be one of"),
+        ],
+        ids=["ddos-missing-key", "ddos-float-target", "spoof-short-offset", "byzantine-node", "byzantine-strategy"],
+    )
+    def test_malformed_attack_plan_rejected(self, doc, message):
+        with pytest.raises(ScenarioError, match=message):
+            fault_plan_from_dict(doc)
+
+
+class TestRanges:
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("consensus.vote_bits", -10**7),
+            ("consensus.header_bits", -1),
+            ("consensus.timeout_s", 0.0),
+            ("consensus.timeout_s", -0.5),
+            ("consensus.timeout_backoff", 0.5),
+            ("consensus.reelect_every_blocks", 0),
+            ("consensus.max_txs_per_block", -1),
+            ("consensus.min_block_interval_s", -0.1),
+            ("workload.tx_rate_per_uav", -1.0),
+            ("workload.payload_bits", -1),
+            ("fleet.rescue.stake_jitter", 1.5),
+            ("run.extra_delay_jitter_s", -0.1),
+        ],
+    )
+    def test_value_out_of_range_rejected(self, path, value):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        _set_path(doc, path, value)
+        with pytest.raises(ScenarioError, match=path.split(".")[-1]):
+            scenario_from_dict(doc)
+
+    def test_builtin_scenarios_stay_valid(self):
+        for scn in (build_hurricane_scenario(), build_desk_scenario(), mini_scenario(5, tx_rate=0.0)):
+            doc = scenario_to_dict(scn)
+            assert scenario_to_dict(scenario_from_dict(doc)) == doc
 
 
 class TestOverrides:
