@@ -14,20 +14,18 @@ from pathlib import Path
 from .consensus import ProtocolKind
 from .faults import FaultPlan
 from .harness import (
+    METRICS_COLUMNS,
+    apply_overrides,
     build_hurricane_scenario,
     canonical_fault_plan,
     compare_protocols,
     export,
     replay,
     run_experiment,
+    table_row,
+    write_csv,
 )
 from .scenario import fault_plan_from_dict, load_scenario
-
-_PROTOCOLS = {
-    "hybrid": ProtocolKind.HYBRID,
-    "dpos": ProtocolKind.PURE_DPOS,
-    "pbft": ProtocolKind.PURE_PBFT,
-}
 
 
 def _load_attacks(spec: str, scenario, seed: int) -> FaultPlan:
@@ -41,16 +39,10 @@ def _load_attacks(spec: str, scenario, seed: int) -> FaultPlan:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else build_hurricane_scenario()
-    overrides = {}
     if args.duration is not None:
-        overrides["duration_s"] = args.duration
-    if overrides:
-        from .harness import apply_overrides
-
-        scenario = apply_overrides(scenario, overrides)
+        scenario = apply_overrides(scenario, {"duration_s": args.duration})
     plan = _load_attacks(args.attacks, scenario, args.seed)
-    protocol = _PROTOCOLS[args.protocol]
-    report, result = run_experiment(scenario, protocol, plan, args.seed)
+    report, result = run_experiment(scenario, ProtocolKind(args.protocol), plan, args.seed)
     paths = export(report, result, args.out, scenario, plan)
     print(f"trace_hash {report.trace_hash}")
     print(
@@ -70,13 +62,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     table_path = out / "comparison.csv"
-    with open(table_path, "w", encoding="utf-8") as fh:
-        fh.write("protocol,seed,median_s,mean_s,p95_s,p99_s,throughput_tps,trace_hash\n")
-        for r in reports:
-            fh.write(
-                f"{r.protocol},{r.seed},{r.latency.median!r},{r.latency.mean!r},"
-                f"{r.latency.p95!r},{r.latency.p99!r},{r.throughput_tps!r},{r.trace_hash}\n"
-            )
+    write_csv(table_path, METRICS_COLUMNS, [table_row(r) for r in reports])
     for r in reports:
         print(
             f"{r.protocol:>6} seed={r.seed} median={r.latency.median:.4f}s "
@@ -107,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one experiment and export results")
     sim.add_argument("--scenario", help="scenario JSON path (default: built-in hurricane)")
-    sim.add_argument("--protocol", choices=sorted(_PROTOCOLS), default="hybrid")
+    sim.add_argument("--protocol", choices=[p.value for p in ProtocolKind], default="hybrid")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--duration", type=float, default=None, help="override duration (s)")
     sim.add_argument("--attacks", default="none", help="none | canonical | path to plan JSON")

@@ -24,9 +24,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import reduce
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence, get_type_hints
 
 from .consensus import Mission, ProtocolKind, byzantine_tolerance, elect_validators
 from .faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
@@ -62,20 +63,17 @@ class LatencyStats:
     p95: float
     p99: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "count": self.count, "median": self.median, "mean": self.mean,
-            "p95": self.p95, "p99": self.p99,
-        }
-
 
 EMPTY_STATS = LatencyStats(0, math.nan, math.nan, math.nan, math.nan)
+
+# Marks the report fields that name a run; every table row starts with them.
+_RUN_KEY = {"run_key": True}
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    protocol: str
-    seed: int
+    protocol: str = field(metadata=_RUN_KEY)
+    seed: int = field(metadata=_RUN_KEY)
     duration_s: float
     throughput_tps: float
     txs_committed: int
@@ -89,34 +87,6 @@ class MetricsReport:
     counters: dict[str, int]
     trace_hash: str
     degradation: Optional[dict[str, float]] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "protocol": self.protocol,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "throughput_tps": self.throughput_tps,
-            "txs_committed": self.txs_committed,
-            "txs_offered": self.txs_offered,
-            "blocks_committed": self.blocks_committed,
-            "latency": self.latency.to_dict(),
-            "per_group": {k: v.to_dict() for k, v in sorted(self.per_group.items())},
-            "queue_wait_measured_mean_s": self.queue_wait_measured_mean_s,
-            "queue_wait_analytic_mean_s": self.queue_wait_analytic_mean_s,
-            "counters": dict(sorted(self.counters.items())),
-            "trace_hash": self.trace_hash,
-        }
-        if self.anova is not None:
-            d["anova"] = {
-                "f_statistic": self.anova.f_statistic,
-                "p_value": self.anova.p_value,
-                "df_between": self.anova.df_between,
-                "df_within": self.anova.df_within,
-                "group_means": list(self.anova.group_means),
-            }
-        if self.degradation is not None:
-            d["degradation"] = dict(sorted(self.degradation.items()))
-        return d
 
 
 # --- scenario builders ---------------------------------------------------------
@@ -395,25 +365,55 @@ def compare_protocols(scenario: Scenario, seeds: Sequence[int]) -> list[MetricsR
 
 # --- export / replay ----------------------------------------------------------------
 
-METRICS_COLUMNS = [
-    "protocol", "seed", "duration_s", "throughput_tps", "txs_committed",
-    "txs_offered", "blocks_committed", "latency_count", "latency_median",
-    "latency_mean", "latency_p95", "latency_p99",
-    "queue_wait_measured_mean_s", "queue_wait_analytic_mean_s", "trace_hash",
-]
 
-GROUPS_COLUMNS = ["protocol", "seed", "mission", "count", "median", "mean", "p95", "p99"]
+def _column_paths(cls: type) -> list[tuple[str, ...]]:
+    """The table columns of a report dataclass, as attribute paths: its
+    scalar fields, and a LatencyStats field spread out as <name>_<stat>."""
+    hints = get_type_hints(cls)
+    paths: list[tuple[str, ...]] = []
+    for f in fields(cls):
+        if hints[f.name] is LatencyStats:
+            paths += [(f.name, *sub) for sub in _column_paths(LatencyStats)]
+        elif hints[f.name] in (int, float, str, tuple[float, ...]):
+            paths.append((f.name,))
+    return paths
 
-ANOVA_COLUMNS = [
-    "protocol", "seed", "f_statistic", "p_value", "df_between", "df_within", "group_means",
-]
+
+_PATHS = {cls: _column_paths(cls) for cls in (MetricsReport, LatencyStats, AnovaResult)}
+_COLUMNS = {cls: ["_".join(path) for path in paths] for cls, paths in _PATHS.items()}
+_KEY = [f.name for f in fields(MetricsReport) if f.metadata.get("run_key")]
+
+METRICS_COLUMNS = _COLUMNS[MetricsReport]
+GROUPS_COLUMNS = [*_KEY, "mission", *_COLUMNS[LatencyStats]]
+ANOVA_COLUMNS = [*_KEY, *_COLUMNS[AnovaResult]]
+
+
+def table_row(report: Any) -> list[Any]:
+    """A report dataclass as a table row, in the order of its columns."""
+    return [reduce(getattr, path, report) for path in _PATHS[type(report)]]
 
 
 def _fmt(value: Any) -> str:
     # repr keeps the shortest round-trip decimal form for floats.
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(_fmt(v) for v in value)
     return str(value)
+
+
+def _field_values(report: Any) -> dict[str, Any]:
+    """A report dataclass as a JSON object of its fields.  `json.dump` calls
+    this for the report dataclasses nested in a summary."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header of columns, then one formatted line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def export(
@@ -434,42 +434,14 @@ def export(
             "events": out / "events.jsonl",
             "summary": out / "summary.json",
         }
-        with open(paths["metrics"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_COLUMNS)
-            writer.writerow([
-                _fmt(v) for v in (
-                    report.protocol, report.seed, report.duration_s,
-                    report.throughput_tps, report.txs_committed, report.txs_offered,
-                    report.blocks_committed, report.latency.count,
-                    report.latency.median, report.latency.mean,
-                    report.latency.p95, report.latency.p99,
-                    report.queue_wait_measured_mean_s,
-                    report.queue_wait_analytic_mean_s, report.trace_hash,
-                )
-            ])
-        with open(paths["groups"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(GROUPS_COLUMNS)
-            for mission, stats in sorted(report.per_group.items()):
-                writer.writerow([
-                    _fmt(v) for v in (
-                        report.protocol, report.seed, mission, stats.count,
-                        stats.median, stats.mean, stats.p95, stats.p99,
-                    )
-                ])
-        with open(paths["anova"], "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(ANOVA_COLUMNS)
-            if report.anova is not None:
-                writer.writerow([
-                    _fmt(v) for v in (
-                        report.protocol, report.seed, report.anova.f_statistic,
-                        report.anova.p_value, report.anova.df_between,
-                        report.anova.df_within,
-                        ";".join(repr(m) for m in report.anova.group_means),
-                    )
-                ])
+        key = [getattr(report, name) for name in _KEY]
+        write_csv(paths["metrics"], METRICS_COLUMNS, [table_row(report)])
+        write_csv(paths["groups"], GROUPS_COLUMNS, [
+            [*key, mission, *table_row(stats)] for mission, stats in sorted(report.per_group.items())
+        ])
+        write_csv(paths["anova"], ANOVA_COLUMNS, (
+            [] if report.anova is None else [[*key, *table_row(report.anova)]]
+        ))
         with open(paths["events"], "w", encoding="utf-8") as fh:
             for line in result.trace.jsonl_lines():
                 fh.write(line)
@@ -479,11 +451,11 @@ def export(
             "fault_plan": fault_plan_to_dict(fault_plan),
             "protocol": report.protocol,
             "seed": report.seed,
-            "metrics": report.to_dict(),
+            "metrics": {k: v for k, v in _field_values(report).items() if v is not None},
             "trace_hash": report.trace_hash,
         }
         with open(paths["summary"], "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, default=_field_values)
             fh.write("\n")
         return paths
     except OSError as exc:

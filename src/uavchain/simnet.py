@@ -58,7 +58,7 @@ from .domain import (
 from .faults import ByzantineStrategy, FaultPlan
 from .mobility import KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
-from .scenario import DeployedUav, Scenario, deploy_fleet
+from .scenario import DeployedUav, Scenario, ScenarioError, deploy_fleet
 
 # Synthetic sender id used by DDoS junk traffic; never part of any fleet.
 ATTACKER_ID: NodeId = 10**9
@@ -233,6 +233,10 @@ class Simulation:
                 queue=NodeQueue(service_rate=scenario.service.service_rate_msgs_per_s),
                 kin=uav.state,
             )
+        planned = {*fault_plan.byzantine, *(w.target for w in (*fault_plan.ddos, *fault_plan.spoof))}
+        outside = sorted(planned - self.nodes.keys())
+        if outside:
+            raise ScenarioError(f"attack plan names node(s) outside the fleet: {outside}")
 
         self.profiles: dict[NodeId, UavProfile] = {
             u.profile.node: u.profile for u in uavs
@@ -685,8 +689,8 @@ class Simulation:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, t_end: Optional[float] = None) -> RunResult:
-        end = self.scenario.duration_s if t_end is None else t_end
+    def run(self) -> RunResult:
+        end = self.scenario.duration_s
         while self._heap:
             time, _seq, handler, data = self._heap[0]
             if time > end:
@@ -751,9 +755,8 @@ def run(
     fault_plan: FaultPlan,
     protocol: ProtocolKind,
     seed: int,
-    t_end: Optional[float] = None,
     enforce_tolerance: bool = True,
 ) -> RunResult:
-    """Run one experiment to t_end (scenario duration by default)."""
+    """Run one experiment to the end of the scenario's duration."""
     sim = Simulation(scenario, fault_plan, protocol, seed, enforce_tolerance)
-    return sim.run(t_end)
+    return sim.run()

@@ -107,3 +107,19 @@ class TestCompare:
         assert rows1 == rows2
         hashes = [row.split(",")[-1] for row in rows1]
         assert len(set(hashes)) == 3
+
+    def test_rows_are_metrics_rows(self, tmp_path, scenario_path):
+        # comparison.csv is metrics.csv's header, then each (protocol, seed)
+        # run's metrics.csv row, byte for byte.
+        main(["compare", "--scenario", str(scenario_path), "--seeds", "4", "--out", str(tmp_path / "cmp")])
+        expected = b""
+        for protocol in ("dpos", "hybrid", "pbft"):
+            out = tmp_path / protocol
+            main([
+                "simulate", "--scenario", str(scenario_path), "--protocol", protocol,
+                "--seed", "4", "--out", str(out),
+            ])
+            header, row = (out / "metrics.csv").read_bytes().splitlines(keepends=True)
+            expected = expected or header
+            expected += row
+        assert (tmp_path / "cmp" / "comparison.csv").read_bytes() == expected

@@ -1,12 +1,14 @@
-"""Scenario and attack-plan documents pinned across commits.
+"""Scenario, attack-plan and exported-output documents pinned across commits.
 
 A summary.json carries both documents, and `replay` rebuilds its run from
 them, so a change in how either is written or read can break the replay of
 summaries written by earlier code.  The pins are SHA-256 hashes of each
 document serialized with sorted keys, recorded from earlier code; the
-replay test re-runs a summary.json that earlier code exported.  A change
-that alters a document on purpose updates the pin and lists the old and new
-hash in CHANGES.md.
+replay test re-runs a summary.json that earlier code exported.  The export
+pins hash the bytes of the tables and summary that `export` writes for three
+runs, so a change in how a report is written shows up as a changed file.  A
+change that alters a document on purpose updates the pin and lists the old
+and new hash in CHANGES.md.
 """
 
 import hashlib
@@ -15,7 +17,16 @@ from pathlib import Path
 
 import pytest
 
-from uavchain.harness import build_desk_scenario, build_hurricane_scenario, canonical_fault_plan, replay
+from uavchain.consensus import ProtocolKind
+from uavchain.faults import FaultPlan
+from uavchain.harness import (
+    build_desk_scenario,
+    build_hurricane_scenario,
+    canonical_fault_plan,
+    export,
+    replay,
+    run_experiment,
+)
 from uavchain.scenario import fault_plan_to_dict, scenario_from_dict, scenario_to_dict
 
 from conftest import mini_scenario
@@ -69,3 +80,67 @@ def test_summary_from_earlier_code_replays():
     matches, recorded, recomputed = replay(SUMMARY)
     assert recorded == "6125da8685d55b9d575455dbe92ce1bdd482f76e7df5fed88c763e47fdce105d"
     assert matches, recomputed
+
+
+def _degraded_run():
+    """Degradation present, no ANOVA: the canonical plan against the
+    fault-free report of the same seed."""
+    scn = mini_scenario(7, duration=1.0)
+    baseline, _ = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 3)
+    plan = canonical_fault_plan(scn, 3)
+    return scn, plan, run_experiment(scn, ProtocolKind.HYBRID, plan, 3, baseline=baseline)
+
+
+def _empty_run():
+    """No commits: empty groups and NaN latencies."""
+    scn = mini_scenario(4, duration=0.0)
+    return scn, FaultPlan(), run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 1)
+
+
+def _anova_run():
+    """Three mission groups with samples: an ANOVA row."""
+    scn = build_hurricane_scenario({"duration_s": 2.0})
+    return scn, FaultPlan(), run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 1)
+
+
+EXPORTED = ("metrics", "groups", "anova", "summary")
+
+# name -> (run, SHA-256 of the bytes of each file in EXPORTED)
+EXPORT_PINS = {
+    "degraded": (
+        _degraded_run,
+        (
+            "cd94ef056025a6a9b908e07ab5de1a8c02e2a0f34de5e7a81008ff52a3bdd553",
+            "0d2439645c86f98fed72e6e1315c6871484e7d3deb227d9bc971c151e2375e6a",
+            "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
+            "ba72a61a395108d02cf360d3f756a9e175507032725ee7149f31256aaf076072",
+        ),
+    ),
+    "empty": (
+        _empty_run,
+        (
+            "4bf00376d84d92582a91a56c376eee05612bf917a685bf9641d55a3bb4be0342",
+            "c28b6034798f58633352d728aace07205369e03d0cfd73057f71df807e369a03",
+            "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
+            "9ed2ca0f8beb7555cdc20ce9119dd30e1a35b582ded5a0342d47db6f36d10a9b",
+        ),
+    ),
+    "anova": (
+        _anova_run,
+        (
+            "4195d450a0146c3b35274c793dc199565ca449c8d3d3a5d25dd50fe3a684b3be",
+            "5b8a4cdb36175a769ef4816b8d2e9475ae9b3a2a251df2407835c3af852625fa",
+            "5eb44875bacd32f329b6c4b099e40a6bd9787d28b113ef602f7ac276d7722dcf",
+            "15ed97816a62431536e3eb908a88cf1f886a28647155e9035cbc189bf4f3b9b3",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPORT_PINS))
+def test_exported_file_hashes(name, tmp_path):
+    run, pins = EXPORT_PINS[name]
+    scn, plan, (report, result) = run()
+    paths = export(report, result, tmp_path, scn, plan)
+    digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest() for key in EXPORTED)
+    assert digests == pins

@@ -7,6 +7,7 @@ from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_m
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.mobility import Vec3
 from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
+from uavchain.scenario import ScenarioError
 from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
 from conftest import mini_scenario
@@ -80,7 +81,7 @@ class TestDeliveryLatency:
     def test_empty_queue_latency_composition(self):
         # Two nodes 2 km apart with the cluster service preset: delivery
         # latency is processing + transmission + propagation exactly.
-        scn = mini_scenario(4, duration=1.0, tx_rate=0.0, trace_detail="full")
+        scn = mini_scenario(4, duration=0.1, tx_rate=0.0, trace_detail="full")
         from uavchain.radio import NodeServiceProfile
         from dataclasses import replace as dreplace
 
@@ -96,7 +97,7 @@ class TestDeliveryLatency:
         sim._send(msg, a, b)
         deliver_events = [e for e in sim._heap if e[2] is Simulation._on_qarr]
         assert len(deliver_events) == 1
-        sim.run(t_end=0.1)
+        sim.run()
         first = [r for r in sim.trace.records if r["kind"] == "deliver"][0]
         expected = 0.010 + 0.0 + 0.010 + 2000.0 / PROPAGATION_SPEED_M_S
         assert first["src"] == a and first["dst"] == b
@@ -220,21 +221,21 @@ class TestDdos:
 
 class TestSpoofing:
     def test_spoof_shifts_reported_position_during_window(self):
-        scn = mini_scenario(4, duration=1.0, tx_rate=0.0)
+        scn = mini_scenario(4, duration=0.35, tx_rate=0.0)
         offset = Vec3(400.0, 0.0, 0.0)
         plan = FaultPlan(spoof=(SpoofWindow(1, offset, 0.0, 0.6),))
         sim = Simulation(scn, plan, ProtocolKind.HYBRID, 2)
-        sim.run(t_end=0.35)
+        sim.run()
         node = sim.nodes[1]
         drift = node.kin.reported_position - node.kin.position
         assert drift.x == pytest.approx(400.0)
         assert drift.y == pytest.approx(0.0)
 
     def test_spoof_clears_after_window(self):
-        scn = mini_scenario(4, duration=1.0, tx_rate=0.0)
+        scn = mini_scenario(4, duration=0.9, tx_rate=0.0)
         plan = FaultPlan(spoof=(SpoofWindow(1, Vec3(400.0, 0.0, 0.0), 0.0, 0.3),))
         sim = Simulation(scn, plan, ProtocolKind.HYBRID, 2)
-        sim.run(t_end=0.9)
+        sim.run()
         node = sim.nodes[1]
         assert node.kin.reported_position == node.kin.position
 
@@ -268,6 +269,29 @@ class TestEmptyScenario:
         with pytest.raises(ValueError):
             run(scn, plan, ProtocolKind.HYBRID, 1)
         run(scn, plan, ProtocolKind.HYBRID, 1, enforce_tolerance=False)
+
+
+class TestPlanAgainstFleet:
+    """A plan entry for a node outside the fleet is rejected at setup, by
+    every id it names, rather than failing mid-setup or changing nothing."""
+
+    def _reject(self, plan, ids):
+        scn = mini_scenario(5, duration=1.0)
+        with pytest.raises(ScenarioError) as info:
+            Simulation(scn, plan, ProtocolKind.HYBRID, 1)
+        assert str(list(ids)) in str(info.value)
+
+    def test_ddos_target_outside_fleet(self):
+        self._reject(FaultPlan(ddos=(DdosWindow(99, 0.1, 0.5, 200.0),)), [99])
+
+    def test_spoof_target_outside_fleet(self):
+        self._reject(FaultPlan(spoof=(SpoofWindow(99, Vec3(1.0, 0.0, 0.0), 0.0, 1.0),)), [99])
+
+    def test_byzantine_node_outside_fleet(self):
+        plan = FaultPlan(
+            byzantine={99: ByzantineStrategy.SILENT, 0: ByzantineStrategy.SILENT, 7: ByzantineStrategy.SILENT}
+        )
+        self._reject(plan, [7, 99])
 
 
 class TestChains:
