@@ -53,7 +53,6 @@ from .domain import (
     genesis_block,
     make_block,
     signed_message,
-
 )
 
 
@@ -288,13 +287,15 @@ VoteKey = tuple[bytes, int]  # (block_hash, view)
 class ConsensusState:
     """One node's replicated-state-machine view.
 
-    Container fields hold immutable values (tuples / frozensets / Blocks) and
-    are rebound rather than mutated, so ``copy()`` is a cheap shallow copy
-    and past states stay valid.
+    Container fields hold immutable values (tuples / frozensets / Blocks).
+    No transition writes into a container: each rebinds the field to a new
+    one (``{**table, key: value}``, ``chain + (block,)``).  So states may
+    share containers, ``copy()`` is a shallow copy, and past states stay
+    valid.  ``{**d, k: v}`` keeps an existing key in place, as ``d[k] = v``
+    does, so every table iterates in the same order either way.
     """
 
     node: NodeId
-    role: str = "validator"  # "validator" | "observer"
     height: int = 1
     view: int = 0
     committed_chain: tuple[Block, ...] = field(default_factory=lambda: (genesis_block(),))
@@ -330,13 +331,6 @@ class ConsensusState:
     def copy(self) -> "ConsensusState":
         c = ConsensusState.__new__(ConsensusState)
         c.__dict__.update(self.__dict__)
-        c.blocks = dict(self.blocks)
-        c.proposals = dict(self.proposals)
-        c.prepare_votes = dict(self.prepare_votes)
-        c.commit_votes = dict(self.commit_votes)
-        c.view_change_votes = dict(self.view_change_votes)
-        c.prepare_sent = dict(self.prepare_sent)
-        c.future = dict(self.future)
         return c
 
     @property
@@ -362,10 +356,8 @@ class ConsensusState:
         return new
 
 
-def initial_state(
-    node: NodeId, role: str, now: float, cfg: ProtocolConfig
-) -> ConsensusState:
-    return ConsensusState(node=node, role=role, timeout_deadline=now + cfg.timeout_s)
+def initial_state(node: NodeId, now: float, cfg: ProtocolConfig) -> ConsensusState:
+    return ConsensusState(node=node, timeout_deadline=now + cfg.timeout_s)
 
 
 class HandleResult(NamedTuple):
@@ -397,14 +389,12 @@ def _body_height(msg: ConsensusMessage) -> int:
     return body.height
 
 
-def _add_vote(
-    table: dict, key, sender: NodeId
-) -> bool:
+def _add_vote(table: dict, key, sender: NodeId) -> dict:
+    """``table`` with ``sender`` among the voters for ``key`` (unchanged if already)."""
     existing = table.get(key, frozenset())
     if sender in existing:
-        return False
-    table[key] = existing | {sender}
-    return True
+        return table
+    return {**table, key: existing | {sender}}
 
 
 def handle_message(
@@ -436,7 +426,7 @@ def handle_message(
         return HandleResult(r, outbound, committed)
     if h > r.height:
         if h - r.height <= FUTURE_WINDOW:
-            r.future[h] = r.future.get(h, ()) + (msg,)
+            r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}
         return HandleResult(r, outbound, committed)
 
     _ingest(r, msg, vset, cfg)
@@ -459,23 +449,23 @@ def _ingest(
         # may relay a locked block verbatim, so block.proposer (its original
         # creator, authenticated by the embedded signature) can differ.
         if block.block_hash not in r.blocks:
-            r.blocks[block.block_hash] = block
+            r.blocks = {**r.blocks, block.block_hash: block}
         attributed = r.proposals.get(msg.sender, ())
         if block.block_hash not in attributed:
-            r.proposals[msg.sender] = attributed + (block.block_hash,)
+            r.proposals = {**r.proposals, msg.sender: attributed + (block.block_hash,)}
     elif isinstance(body, Prepare):
         if body.view >= r.view or cfg.kind is ProtocolKind.PURE_DPOS:
-            _add_vote(r.prepare_votes, (body.block_hash, body.view), msg.sender)
+            r.prepare_votes = _add_vote(r.prepare_votes, (body.block_hash, body.view), msg.sender)
     elif isinstance(body, Commit):
         if cfg.kind is ProtocolKind.PURE_DPOS:
             return
         if body.view >= r.view:
-            _add_vote(r.commit_votes, (body.block_hash, body.view), msg.sender)
+            r.commit_votes = _add_vote(r.commit_votes, (body.block_hash, body.view), msg.sender)
     elif isinstance(body, ViewChange):
         if cfg.kind is ProtocolKind.PURE_DPOS:
             return
         if body.new_view > r.view:
-            _add_vote(r.view_change_votes, body.new_view, msg.sender)
+            r.view_change_votes = _add_vote(r.view_change_votes, body.new_view, msg.sender)
 
 
 def _candidate_hash(r: ConsensusState, vset: ValidatorSet, cfg: ProtocolConfig) -> Optional[bytes]:
@@ -521,7 +511,7 @@ def _apply_commit(
     r.timeouts_since_commit = 0
     r.timeout_deadline = now + cfg.timeout_s
     # Replay anything buffered for the height we just reached.
-    replay = r.future.pop(r.height, ())
+    replay = r.future.get(r.height, ())
     r.future = {h: msgs for h, msgs in r.future.items() if h > r.height}
     for buffered in replay:
         _ingest(r, buffered, vset, cfg)
@@ -537,8 +527,8 @@ def _prepare_vote(
     digest = _candidate_hash(r, vset, cfg)
     if digest is None:
         return False
-    r.prepare_sent[r.view] = digest
-    _add_vote(r.prepare_votes, (digest, r.view), r.node)
+    r.prepare_sent = {**r.prepare_sent, r.view: digest}
+    r.prepare_votes = _add_vote(r.prepare_votes, (digest, r.view), r.node)
     outbound.append(signed_message(r.node, Prepare(digest, r.height, r.view)))
     return True
 
@@ -547,8 +537,7 @@ def _commit_on_quorum(
     r: ConsensusState, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
     vset: ValidatorSet, now: float, cfg: ProtocolConfig, committed: list[Block],
 ) -> bool:
-    """Commit the first stored block whose tally in ``votes`` reaches quorum
-    (``_apply_commit`` rebinds the tables, so ``votes`` is not mutated)."""
+    """Commit the first stored block whose tally in ``votes`` reaches quorum."""
     for (block_hash, _view), senders in votes.items():
         if len(senders) >= quorum and block_hash in r.blocks:
             _apply_commit(r, r.blocks[block_hash], vset, now, cfg, committed)
@@ -602,7 +591,7 @@ def _advance(
             changed = True
 
         # Prepare quorum: lock on the block and commit-vote it.
-        for (block_hash, view), senders in list(r.prepare_votes.items()):
+        for (block_hash, view), senders in r.prepare_votes.items():
             if len(senders) < quorum or block_hash not in r.blocks:
                 continue
             if view > r.locked_view:
@@ -612,7 +601,7 @@ def _advance(
             key = (block_hash, view)
             if key not in r.commit_sent:
                 r.commit_sent = r.commit_sent | {key}
-                _add_vote(r.commit_votes, key, r.node)
+                r.commit_votes = _add_vote(r.commit_votes, key, r.node)
                 outbound.append(
                     signed_message(r.node, Commit(block_hash, r.height, view))
                 )
@@ -625,7 +614,7 @@ def _advance(
                 continue
             if len(senders) >= join_threshold and new_view not in r.view_change_sent:
                 r.view_change_sent = r.view_change_sent | {new_view}
-                _add_vote(r.view_change_votes, new_view, r.node)
+                r.view_change_votes = _add_vote(r.view_change_votes, new_view, r.node)
                 outbound.append(
                     signed_message(r.node, ViewChange(new_view, r.height))
                 )
@@ -656,10 +645,6 @@ def on_timeout(
     r.timeout_deadline = now + cfg.timeout_s * (
         cfg.timeout_backoff ** r.timeouts_since_commit
     )
-    outbound: list[ConsensusMessage] = []
-    msg = signed_message(r.node, ViewChange(target, r.height))
-    if target not in r.view_change_sent:
-        r.view_change_sent = r.view_change_sent | {target}
-    _add_vote(r.view_change_votes, target, r.node)
-    outbound.append(msg)
-    return r, outbound
+    r.view_change_sent = r.view_change_sent | {target}
+    r.view_change_votes = _add_vote(r.view_change_votes, target, r.node)
+    return r, [signed_message(r.node, ViewChange(target, r.height))]

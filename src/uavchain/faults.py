@@ -12,13 +12,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .domain import NodeId
-from .mobility import Vec3
+from .mobility import ZERO, Vec3
 
 
 class ByzantineStrategy(Enum):
     EQUIVOCATE = "equivocate"
     INVALID_BLOCK = "invalid_block"
     SILENT = "silent"
+
+
+def _check_window(start_s: float, duration_s: float) -> None:
+    if not start_s >= 0:
+        raise ValueError("start_s must be >= 0")
+    if not duration_s > 0:
+        raise ValueError("duration_s must be > 0")
 
 
 @dataclass(frozen=True)
@@ -28,6 +35,11 @@ class DdosWindow:
     duration_s: float
     flood_rate_msgs_per_s: float
 
+    def __post_init__(self) -> None:
+        _check_window(self.start_s, self.duration_s)
+        if not self.flood_rate_msgs_per_s > 0:
+            raise ValueError("flood_rate_msgs_per_s must be > 0")
+
 
 @dataclass(frozen=True)
 class SpoofWindow:
@@ -35,6 +47,11 @@ class SpoofWindow:
     offset: Vec3
     start_s: float
     duration_s: float
+
+    def __post_init__(self) -> None:
+        _check_window(self.start_s, self.duration_s)
+        if self.offset == ZERO:
+            raise ValueError("offset must be non-zero")
 
     def active(self, now: float) -> bool:
         return self.start_s <= now < self.start_s + self.duration_s

@@ -248,9 +248,7 @@ class Simulation:
 
         validators = sorted(self.vset.ids) if self.vset else []
         for node_id in validators:
-            self.nodes[node_id].machine = cons.initial_state(
-                node_id, "validator", 0.0, self.cfg
-            )
+            self.nodes[node_id].machine = cons.initial_state(node_id, 0.0, self.cfg)
 
         # Canonical committed prefix: first commit seen per height.  A node
         # commits h+1 only after h and state transfer adds no heights, so the
@@ -320,8 +318,6 @@ class Simulation:
 
     def _generate_junk(self) -> None:
         for window in self.plan.ddos:
-            if window.flood_rate_msgs_per_s <= 0:
-                continue
             t = window.start_s + self.rng_attack.expovariate(window.flood_rate_msgs_per_s)
             end = window.start_s + window.duration_s
             while t < min(end, self.scenario.duration_s):
@@ -538,7 +534,7 @@ class Simulation:
         for node_id in sorted(left):
             self.nodes[node_id].machine = None
         for node_id in sorted(joined):
-            machine = cons.initial_state(node_id, "validator", self.now, self.cfg)
+            machine = cons.initial_state(node_id, self.now, self.cfg)
             machine.committed_chain = chain
             machine.height = len(chain)
             self.nodes[node_id].machine = machine
@@ -634,7 +630,7 @@ class Simulation:
         chain = self._canonical_chain()
         if len(chain) <= machine.height:
             return
-        fresh = cons.initial_state(node_id, "validator", self.now, self.cfg)
+        fresh = cons.initial_state(node_id, self.now, self.cfg)
         fresh.committed_chain = chain
         fresh.height = len(chain)
         fresh.view = chain[-1].view

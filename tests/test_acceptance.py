@@ -152,7 +152,7 @@ def _quorum_oracle(n: int, prepare_senders: frozenset, commit_senders: frozenset
 
 
 def _run_vote_schedule(n, observer, proposer, block, msgs_order, cfg, vset):
-    state = initial_state(observer, "validator", 0.0, cfg)
+    state = initial_state(observer, 0.0, cfg)
     committed = []
     for msg in msgs_order:
         result = handle_message(state, msg, vset, 0.0, cfg)
@@ -173,7 +173,7 @@ def test_criterion_3_quorum_oracle_equivalence():
         )
         proposer = cfg.proposer_for(vset, 1, 0)
         observer = (proposer + 1) % n
-        pstate = initial_state(proposer, "validator", 0.0, cfg)
+        pstate = initial_state(proposer, 0.0, cfg)
         block = create_block(pstate, 4)
         pre = signed_message(proposer, PrePrepare(block))
         others = [i for i in range(n) if i != observer]

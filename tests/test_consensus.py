@@ -211,7 +211,7 @@ class TestQuorum:
 
 class TestCreateBlock:
     def test_fifo_prefix(self):
-        state = initial_state(0, "validator", 0.0, CFG)
+        state = initial_state(0, 0.0, CFG)
         txs = [Transaction(tx_id=i, origin=1, created_at=0.0) for i in range(3)]
         state = state.add_transactions(txs)
         block = create_block(state, 10)
@@ -220,27 +220,27 @@ class TestCreateBlock:
         assert block.parent_hash == genesis_block().block_hash
 
     def test_empty_mempool_heartbeat(self):
-        state = initial_state(0, "validator", 0.0, CFG)
+        state = initial_state(0, 0.0, CFG)
         block = create_block(state, 10)
         assert block.transactions == ()
 
     def test_created_block_validates_against_tip(self):
         from uavchain.domain import validate_block
 
-        state = initial_state(2, "validator", 0.0, CFG)
+        state = initial_state(2, 0.0, CFG)
         state = state.add_transactions([Transaction(tx_id=5, origin=0, created_at=0.1)])
         block = create_block(state, 10)
         validate_block(block, state.tip.block_hash, state.height)
 
     def test_max_txs_cap(self):
-        state = initial_state(0, "validator", 0.0, CFG)
+        state = initial_state(0, 0.0, CFG)
         state = state.add_transactions(
             [Transaction(tx_id=i, origin=1, created_at=0.0) for i in range(20)]
         )
         assert len(create_block(state, 8).transactions) == 8
 
     def test_mempool_dedupe(self):
-        state = initial_state(0, "validator", 0.0, CFG)
+        state = initial_state(0, 0.0, CFG)
         tx = Transaction(tx_id=1, origin=0, created_at=0.0)
         state = state.add_transactions([tx])
         state = state.add_transactions([tx])
@@ -270,12 +270,12 @@ class TestHandleMessage:
         self.proposer = self.cfg.proposer_for(self.vset, 1, 0)
 
     def make_proposal(self):
-        pstate = initial_state(self.proposer, "validator", 0.0, self.cfg)
+        pstate = initial_state(self.proposer, 0.0, self.cfg)
         return proposal_from(self.vset, self.cfg, pstate)
 
     def test_valid_preprepare_emits_prepare(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         result = handle_message(state, msg, self.vset, 0.1, self.cfg)
         assert result.state.prepare_sent == {0: block.block_hash}
         kinds = [type(m.body) for m in result.outbound]
@@ -284,7 +284,7 @@ class TestHandleMessage:
 
     def test_third_prepare_triggers_commit_vote(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state, out, _ = run_messages(state, [msg], self.vset, self.cfg)
         # Own prepare is vote one; two more distinct prepares reach quorum 3.
         prep = Prepare(block.block_hash, 1, 0)
@@ -296,7 +296,7 @@ class TestHandleMessage:
 
     def test_commit_quorum_appends_block(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         prep = Prepare(block.block_hash, 1, 0)
         com = Commit(block.block_hash, 1, 0)
         msgs = [msg, signed_message(2, prep), signed_message(3, prep),
@@ -308,7 +308,7 @@ class TestHandleMessage:
         assert state.prepare_sent == {} and state.locked_hash is None
 
     def test_stale_view_message_ignored(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state.view = 2
         prep = signed_message(2, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, prep, self.vset, 0.0, self.cfg)
@@ -316,7 +316,7 @@ class TestHandleMessage:
         assert result.state.prepare_votes == {}
 
     def test_stale_height_message_ignored(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state.height = 5
         prep = signed_message(2, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, prep, self.vset, 0.0, self.cfg)
@@ -324,27 +324,27 @@ class TestHandleMessage:
 
     def test_duplicate_votes_not_double_counted(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         prep = signed_message(2, Prepare(block.block_hash, 1, 0))
         state, _, _ = run_messages(state, [msg, prep, prep, prep], self.vset, self.cfg)
         key = (block.block_hash, 0)
         assert state.prepare_votes[key] == frozenset({0, 2})
 
     def test_invalid_signature_discarded_and_counted(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         bad = forged_message(2, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, bad, self.vset, 0.0, self.cfg)
         assert result.state.invalid_signature_count == 1
         assert result.state.prepare_votes == {}
 
     def test_unknown_sender_discarded_and_counted(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         msg = signed_message(99, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, msg, self.vset, 0.0, self.cfg)
         assert result.state.unknown_sender_count == 1
 
     def test_invalid_block_rejected(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         bad_block = make_block(1, bytes(32), self.proposer, 0, ())  # wrong parent
         msg = signed_message(self.proposer, PrePrepare(bad_block))
         result = handle_message(state, msg, self.vset, 0.0, self.cfg)
@@ -353,7 +353,7 @@ class TestHandleMessage:
 
     def test_purity_input_state_unchanged(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         before_votes = dict(state.prepare_votes)
         before_height = state.height
         handle_message(state, msg, self.vset, 0.0, self.cfg)
@@ -363,7 +363,7 @@ class TestHandleMessage:
 
     def test_determinism_identical_inputs_identical_outputs(self):
         block, msg = self.make_proposal()
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         r1 = handle_message(state, msg, self.vset, 0.0, self.cfg)
         r2 = handle_message(state, msg, self.vset, 0.0, self.cfg)
         assert r1.state == r2.state
@@ -378,7 +378,7 @@ class TestHandleMessage:
         msgs = [msg, signed_message(2, prep), signed_message(3, prep), signed_message(2, com)]
         finals = []
         for order in itertools.permutations(msgs):
-            state = initial_state(0, "validator", 0.0, self.cfg)
+            state = initial_state(0, 0.0, self.cfg)
             state, _, _ = run_messages(state, list(order), self.vset, self.cfg)
             finals.append(state)
         first = finals[0]
@@ -389,7 +389,7 @@ class TestHandleMessage:
         block, msg = self.make_proposal()
         # Prepare votes for height 2 arrive before height 1 commits.
         future_prep = signed_message(2, Prepare(bytes(32), 2, 0))
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state, _, _ = run_messages(state, [future_prep], self.vset, self.cfg)
         assert 2 in state.future
         prep = Prepare(block.block_hash, 1, 0)
@@ -408,7 +408,7 @@ class TestViewChange:
         self.cfg = CFG
 
     def test_timeout_emits_view_change(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
         new_state, out = on_timeout(state, 0.6, self.cfg)
         assert len(out) == 1
@@ -417,14 +417,14 @@ class TestViewChange:
         assert new_state.timeouts_since_commit == 1
 
     def test_timeout_before_deadline_noop(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
         new_state, out = on_timeout(state, 0.4, self.cfg)
         assert out == []
         assert new_state is state
 
     def test_deadline_backs_off_exponentially(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
         s1, _ = on_timeout(state, 0.5, self.cfg)
         first_gap = s1.timeout_deadline - 0.5
@@ -433,14 +433,14 @@ class TestViewChange:
         assert second_gap == pytest.approx(first_gap * self.cfg.timeout_backoff)
 
     def test_quorum_of_view_changes_adopts(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         vc = ViewChange(1, 1)
         msgs = [signed_message(1, vc), signed_message(2, vc), signed_message(3, vc)]
         state, _, _ = run_messages(state, msgs, self.vset, self.cfg)
         assert state.view == 1
 
     def test_join_after_f_plus_one(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         vc = ViewChange(1, 1)
         # f+1 = 2 for n=4: seeing two calls makes this node join.
         state, out, _ = run_messages(
@@ -452,7 +452,7 @@ class TestViewChange:
         assert state.view == 1
 
     def test_view_increments_never_skip_under_repeat_failures(self):
-        state = initial_state(0, "validator", 0.0, self.cfg)
+        state = initial_state(0, 0.0, self.cfg)
         views = [state.view]
         now = 0.5
         for _ in range(4):
@@ -470,7 +470,7 @@ class TestViewChange:
         # Proposer for (1, 0) is node 1; it stays silent.  The other three
         # time out, adopt view 1, and commit under node 2 (proposer of view 1).
         cfg = self.cfg
-        states = {i: initial_state(i, "validator", 0.0, cfg) for i in (0, 2, 3)}
+        states = {i: initial_state(i, 0.0, cfg) for i in (0, 2, 3)}
         inboxes = {i: [] for i in states}
 
         def broadcast(sender, msgs):
@@ -512,12 +512,12 @@ class TestLocking:
         vset = vset_of(4)
         cfg = CFG
         proposer0 = cfg.proposer_for(vset, 1, 0)
-        pstate = initial_state(proposer0, "validator", 0.0, cfg)
+        pstate = initial_state(proposer0, 0.0, cfg)
         pstate = pstate.add_transactions([Transaction(tx_id=1, origin=0, created_at=0.0)])
         block_a = create_block(pstate, 8)
         msg_a = signed_message(proposer0, PrePrepare(block_a))
 
-        observer = initial_state(0, "validator", 0.0, cfg) if proposer0 != 0 else initial_state(3, "validator", 0.0, cfg)
+        observer = initial_state(0, 0.0, cfg) if proposer0 != 0 else initial_state(3, 0.0, cfg)
         prep_a = Prepare(block_a.block_hash, 1, 0)
         observer, _, _ = run_messages(
             observer,
@@ -534,7 +534,7 @@ class TestLocking:
         )
         assert observer.view == 1
         proposer1 = cfg.proposer_for(vset, 1, 1)
-        fresh = initial_state(proposer1, "validator", 0.0, cfg)
+        fresh = initial_state(proposer1, 0.0, cfg)
         fresh.view = 1
         block_b = create_block(fresh, 8)
         msg_b = signed_message(proposer1, PrePrepare(block_b))
@@ -550,10 +550,10 @@ class TestLocking:
         vset = vset_of(4)
         cfg = CFG
         proposer = cfg.proposer_for(vset, 1, 0)
-        pstate = initial_state(proposer, "validator", 0.0, cfg)
+        pstate = initial_state(proposer, 0.0, cfg)
         block = create_block(pstate, 8)
         msg = signed_message(proposer, PrePrepare(block))
-        node = initial_state(0 if proposer != 0 else 3, "validator", 0.0, cfg)
+        node = initial_state(0 if proposer != 0 else 3, 0.0, cfg)
         com = Commit(block.block_hash, 1, 0)
         commit_senders = [i for i in range(4) if i != node.node][:3]
         msgs = [msg] + [signed_message(s, com) for s in commit_senders]
@@ -566,10 +566,10 @@ class TestDposBaseline:
         cfg = ProtocolConfig(kind=ProtocolKind.PURE_DPOS, max_txs_per_block=8)
         vset = vset_of(4)
         proposer = cfg.proposer_for(vset, 1, 0)  # height mod n
-        pstate = initial_state(proposer, "validator", 0.0, cfg)
+        pstate = initial_state(proposer, 0.0, cfg)
         block = create_block(pstate, 8)
         msg = signed_message(proposer, PrePrepare(block))
-        node = initial_state((proposer + 1) % 4, "validator", 0.0, cfg)
+        node = initial_state((proposer + 1) % 4, 0.0, cfg)
         node, out, committed = run_messages(node, [msg], vset, cfg)
         assert any(isinstance(m.body, Prepare) for m in out)
         assert not committed  # 2 acks (own + implicit) below majority of 3
@@ -580,7 +580,7 @@ class TestDposBaseline:
 
     def test_no_view_change_in_dpos(self):
         cfg = ProtocolConfig(kind=ProtocolKind.PURE_DPOS)
-        state = initial_state(0, "validator", 0.0, cfg)
+        state = initial_state(0, 0.0, cfg)
         state.timeout_deadline = 0.1
         new_state, out = on_timeout(state, 1.0, cfg)
         assert out == []
@@ -598,9 +598,9 @@ class TestFastPath:
         cfg = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN, optimistic_fast_path=True)
         vset = vset_of(4)
         proposer = cfg.proposer_for(vset, 1, 0)
-        pstate = initial_state(proposer, "validator", 0.0, cfg)
+        pstate = initial_state(proposer, 0.0, cfg)
         block = create_block(pstate, 8)
-        node = initial_state((proposer + 1) % 4, "validator", 0.0, cfg)
+        node = initial_state((proposer + 1) % 4, 0.0, cfg)
         node, _, committed = run_messages(
             node, [signed_message(proposer, PrePrepare(block))], vset, cfg
         )
@@ -610,11 +610,11 @@ class TestFastPath:
         cfg = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN, optimistic_fast_path=True)
         vset = vset_of(4)
         proposer = cfg.proposer_for(vset, 1, 0)
-        node = initial_state((proposer + 1) % 4, "validator", 0.0, cfg)
+        node = initial_state((proposer + 1) % 4, 0.0, cfg)
         bad = make_block(1, bytes(32), proposer, 0, ())
         node, _, _ = run_messages(node, [signed_message(proposer, PrePrepare(bad))], vset, cfg)
         assert node.observed_fault
-        good = create_block(initial_state(proposer, "validator", 0.0, cfg), 8)
+        good = create_block(initial_state(proposer, 0.0, cfg), 8)
         node, out, committed = run_messages(
             node, [signed_message(proposer, PrePrepare(good))], vset, cfg
         )

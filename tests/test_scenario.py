@@ -181,8 +181,23 @@ class TestMalformedValues:
              r"attacks\.spoof\.offset must be a list of 3 numbers"),
             ({"byzantine": {"three": "silent"}}, r"attacks\.byzantine keys must be node ids"),
             ({"byzantine": {"3": "sleepy"}}, r"attacks\.byzantine\.3 must be one of"),
+            # Windows that cannot act (a zero-rate flood: TestDdos in test_simnet).
+            ({"ddos": [{"target": 1, "start_s": -1.0, "duration_s": 0.5, "flood_rate_msgs_per_s": 200.0}]},
+             r"attacks\.ddos: start_s must be >= 0"),
+            ({"ddos": [{"target": 1, "start_s": 0.2, "duration_s": 0.0, "flood_rate_msgs_per_s": 200.0}]},
+             r"attacks\.ddos: duration_s must be > 0"),
+            ({"spoof": [{"target": 1, "offset": [1.0, 0.0, 0.0], "start_s": -0.5, "duration_s": 1.0}]},
+             r"attacks\.spoof: start_s must be >= 0"),
+            ({"spoof": [{"target": 1, "offset": [1.0, 0.0, 0.0], "start_s": 0.0, "duration_s": 0.0}]},
+             r"attacks\.spoof: duration_s must be > 0"),
+            ({"spoof": [{"target": 1, "offset": [0.0, 0.0, 0.0], "start_s": 0.0, "duration_s": 1.0}]},
+             r"attacks\.spoof: offset must be non-zero"),
         ],
-        ids=["ddos-missing-key", "ddos-float-target", "spoof-short-offset", "byzantine-node", "byzantine-strategy"],
+        ids=[
+            "ddos-missing-key", "ddos-float-target", "spoof-short-offset", "byzantine-node", "byzantine-strategy",
+            "ddos-negative-start", "ddos-zero-duration",
+            "spoof-negative-start", "spoof-zero-duration", "spoof-zero-offset",
+        ],
     )
     def test_malformed_attack_plan_rejected(self, doc, message):
         with pytest.raises(ScenarioError, match=message):

@@ -1,10 +1,13 @@
+import copy
 import typing
 
 import pytest
 
-from uavchain.consensus import ProtocolKind
+from uavchain import consensus as cons
+from uavchain.consensus import ConsensusState, ProtocolKind
 from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_message
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
+from uavchain.harness import canonical_fault_plan
 from uavchain.mobility import Vec3
 from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
 from uavchain.scenario import ScenarioError
@@ -188,13 +191,10 @@ class TestByzantineTransforms:
 
 
 class TestDdos:
-    def test_zero_rate_no_effect(self):
-        scn = mini_scenario(4, duration=1.5)
-        clean = run(scn, FaultPlan(), ProtocolKind.HYBRID, 6)
-        with_zero = run(
-            scn, FaultPlan(ddos=(DdosWindow(0, 0.2, 1.0, 0.0),)), ProtocolKind.HYBRID, 6
-        )
-        assert clean.trace_hash() == with_zero.trace_hash()
+    def test_zero_rate_rejected(self):
+        # A window that floods nothing would leave the run as it was.
+        with pytest.raises(ValueError, match="flood_rate_msgs_per_s must be > 0"):
+            DdosWindow(0, 0.2, 1.0, 0.0)
 
     def test_junk_consumes_service_and_is_discarded(self):
         scn = mini_scenario(4, duration=2.0)
@@ -339,3 +339,29 @@ class TestDposTimeouts:
         result = run(build_desk_scenario({"duration_s": 1.0}), FaultPlan(), ProtocolKind.PURE_DPOS, 1000)
         assert result.trace.by_kind("end")[-1]["duration_s"] == 1.0
         assert result.counters["blocks_committed"] > 0
+
+
+class TestPurity:
+    @pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda p: p.value)
+    def test_transitions_never_mutate_their_input(self, monkeypatch, protocol):
+        # Copies of a state share its containers, so a transition that wrote
+        # into one would change the state it was handed.  Check every call
+        # of a whole run: commits, view changes, syncs, future-height replay.
+        mutated = []
+
+        def guard(transition):
+            def checked(state, *args):
+                before = {name: copy.copy(value) for name, value in vars(state).items()}
+                out = transition(state, *args)
+                if vars(state) != before:
+                    mutated.append(transition.__name__)
+                return out
+            return checked
+
+        monkeypatch.setattr(cons, "handle_message", guard(cons.handle_message))
+        monkeypatch.setattr(cons, "on_timeout", guard(cons.on_timeout))
+        monkeypatch.setattr(ConsensusState, "add_transactions", guard(ConsensusState.add_transactions))
+        scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+        result = run(scn, canonical_fault_plan(scn, 2), protocol, 2)
+        assert result.counters["blocks_committed"] > 0
+        assert mutated == []
