@@ -153,6 +153,10 @@ class ValidatorSet:
     def ids(self) -> frozenset[NodeId]:
         return frozenset(m.node for m in self.members)
 
+    @cached_property
+    def ordered_ids(self) -> tuple[NodeId, ...]:
+        return tuple(sorted(self.ids))
+
     def member_nodes(self) -> tuple[NodeId, ...]:
         return tuple(m.node for m in self.members)
 
@@ -293,12 +297,17 @@ class ConsensusState:
     share containers, ``copy()`` is a shallow copy, and past states stay
     valid.  ``{**d, k: v}`` keeps an existing key in place, as ``d[k] = v``
     does, so every table iterates in the same order either way.
+
+    ``committed_ids`` is always the set of tx ids in ``committed_chain``, so
+    a membership test costs the same however long the chain grows.  Build a
+    state at a given chain with ``initial_state``, which fills both.
     """
 
     node: NodeId
     height: int = 1
     view: int = 0
     committed_chain: tuple[Block, ...] = field(default_factory=lambda: (genesis_block(),))
+    committed_ids: frozenset[int] = frozenset()
     mempool: tuple[Transaction, ...] = ()
     mempool_ids: frozenset[int] = frozenset()
 
@@ -346,7 +355,7 @@ class ConsensusState:
         new = self.copy()
         pool = list(new.mempool)
         ids = set(new.mempool_ids)
-        committed = {tx.tx_id for b in new.committed_chain for tx in b.transactions}
+        committed = new.committed_ids
         for tx in txs:
             if tx.tx_id not in ids and tx.tx_id not in committed:
                 pool.append(tx)
@@ -356,8 +365,18 @@ class ConsensusState:
         return new
 
 
-def initial_state(node: NodeId, now: float, cfg: ProtocolConfig) -> ConsensusState:
-    return ConsensusState(node=node, timeout_deadline=now + cfg.timeout_s)
+def initial_state(
+    node: NodeId, now: float, cfg: ProtocolConfig, chain: tuple[Block, ...] = (genesis_block(),)
+) -> ConsensusState:
+    """A fresh state at the tip of ``chain``: genesis unless a node joins or
+    catches up on a chain already committed."""
+    return ConsensusState(
+        node=node,
+        height=len(chain),
+        committed_chain=chain,
+        committed_ids=frozenset(tx.tx_id for b in chain for tx in b.transactions),
+        timeout_deadline=now + cfg.timeout_s,
+    )
 
 
 class HandleResult(NamedTuple):
@@ -496,6 +515,7 @@ def _apply_commit(
     r.committed_chain = r.committed_chain + (block,)
     r.height += 1
     included = {tx.tx_id for tx in block.transactions}
+    r.committed_ids = r.committed_ids | included
     r.mempool = tuple(tx for tx in r.mempool if tx.tx_id not in included)
     r.mempool_ids = frozenset(i for i in r.mempool_ids if i not in included)
     r.blocks = {}

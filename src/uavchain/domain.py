@@ -22,6 +22,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Union
 
 NodeId = int
@@ -248,6 +249,12 @@ class ConsensusMessage:
         return type(self.body).__name__
 
     def verifies(self) -> bool:
+        return self._verified
+
+    @cached_property
+    def _verified(self) -> bool:
+        # Memoized per object: a broadcast hands one message to every
+        # recipient, and a rebuilt message (``replace``) is checked afresh.
         return verify(self.signature, message_digest(self.body), self.sender)
 
 

@@ -246,7 +246,7 @@ class Simulation:
         if enforce_tolerance and self.vset is not None:
             fault_plan.check_tolerance(self.vset.ids, byzantine_tolerance(self.vset.n))
 
-        validators = sorted(self.vset.ids) if self.vset else []
+        validators = self.vset.ordered_ids if self.vset else ()
         for node_id in validators:
             self.nodes[node_id].machine = cons.initial_state(node_id, 0.0, self.cfg)
 
@@ -353,9 +353,14 @@ class Simulation:
         return cp.vote_bits
 
     def _distance(self, a: SimNode, b: SimNode) -> float:
+        # ``pa.distance_to(pb)`` without the Vec3 it allocates: the same
+        # operations in the same order, so the float is bit-identical.
         pa = a.kin.reported_position
         pb = b.kin.reported_position
-        return max(pa.distance_to(pb), MIN_LINK_DISTANCE_M)
+        dx = pa.x - pb.x
+        dy = pa.y - pb.y
+        dz = pa.z - pb.z
+        return max(math.sqrt(dx * dx + dy * dy + dz * dz), MIN_LINK_DISTANCE_M)
 
     def _send(self, wire: Any, src: NodeId, dst: NodeId) -> None:
         self.counters["sent"] += 1
@@ -384,7 +389,7 @@ class Simulation:
 
     def _broadcast(self, sender: NodeId, messages: list[ConsensusMessage]) -> None:
         strategy = self.plan.byzantine.get(sender)
-        recipients = [v for v in sorted(self.vset.ids) if v != sender]
+        recipients = [v for v in self.vset.ordered_ids if v != sender]
         for msg in messages:
             for out_msg, targets in self._apply_byzantine(sender, msg, strategy, recipients):
                 for dst in targets:
@@ -480,7 +485,7 @@ class Simulation:
         if result.outbound:
             self._broadcast(node_id, result.outbound)
         if self.vset is not vset:  # re-elected, possibly reordering members
-            self._schedule_proposer_duty(sorted(self.vset.ids))
+            self._schedule_proposer_duty(self.vset.ordered_ids)
         elif result.committed or result.state.view != old.view:
             self._schedule_proposer_duty((node_id,))
 
@@ -528,18 +533,15 @@ class Simulation:
         self.vset = new_set
         self._record(
             "reelection", joined=sorted(joined), left=sorted(left),
-            members=sorted(new_set.ids),
+            members=list(new_set.ordered_ids),
         )
         chain = self._canonical_chain()
         for node_id in sorted(left):
             self.nodes[node_id].machine = None
         for node_id in sorted(joined):
-            machine = cons.initial_state(node_id, self.now, self.cfg)
-            machine.committed_chain = chain
-            machine.height = len(chain)
-            self.nodes[node_id].machine = machine
+            self.nodes[node_id].machine = cons.initial_state(node_id, self.now, self.cfg, chain)
             self._arm_timeout(node_id)
-        self._schedule_proposer_duty(sorted(new_set.ids))
+        self._schedule_proposer_duty(new_set.ordered_ids)
 
     def _canonical_chain(self) -> tuple[Block, ...]:
         return (cons.genesis_block(), *self.first_commit.values())
@@ -576,7 +578,7 @@ class Simulation:
             mission=origin.mission.value, bits=tx.payload_bits,
         )
         wire = TxForward(tx)
-        for validator in sorted(self.vset.ids) if self.vset else ():
+        for validator in self.vset.ordered_ids if self.vset else ():
             if validator == tx.origin:
                 machine = self.nodes[validator].machine
                 if machine is not None:
@@ -630,9 +632,7 @@ class Simulation:
         chain = self._canonical_chain()
         if len(chain) <= machine.height:
             return
-        fresh = cons.initial_state(node_id, self.now, self.cfg)
-        fresh.committed_chain = chain
-        fresh.height = len(chain)
+        fresh = cons.initial_state(node_id, self.now, self.cfg, chain)
         fresh.view = chain[-1].view
         node.machine = fresh.add_transactions(machine.mempool)
         self._record(

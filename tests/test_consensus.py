@@ -246,6 +246,13 @@ class TestCreateBlock:
         state = state.add_transactions([tx])
         assert len(state.mempool) == 1
 
+    def test_state_at_chain_refuses_committed_tx(self):
+        old, new = (Transaction(tx_id=i, origin=1, created_at=0.0) for i in (4, 5))
+        chain = (genesis_block(), make_block(1, genesis_block().block_hash, 1, 0, [old]))
+        state = initial_state(0, 0.0, CFG, chain)
+        assert (state.height, state.tip, state.committed_ids) == (2, chain[-1], {4})
+        assert state.add_transactions([old, new]).mempool == (new,)
+
 
 def run_messages(state, msgs, vset, cfg, now=0.0):
     outbound, committed = [], []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from uavchain.domain import (
@@ -143,6 +145,17 @@ class TestMessages:
     def test_forged_message_fails(self):
         msg = forged_message(3, Prepare(ZERO_DIGEST, 1, 0))
         assert not msg.verifies()
+
+    @pytest.mark.parametrize("forged_first", [False, True])
+    def test_verification_is_memoized_per_message_object(self, forged_first):
+        body = Prepare(ZERO_DIGEST, 1, 0)
+        good, bad = signed_message(3, body), forged_message(3, body)
+        if forged_first:
+            assert not bad.verifies()
+        assert good.verifies()
+        assert not bad.verifies()
+        assert good.verifies()
+        assert not replace(good, sender=4).verifies()
 
     def test_digests_distinguish_bodies(self):
         prepare = message_digest(Prepare(ZERO_DIGEST, 1, 0))
