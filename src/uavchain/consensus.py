@@ -304,10 +304,10 @@ class ConsensusState:
     """
 
     node: NodeId
-    height: int = 1
+    height: int
+    committed_chain: tuple[Block, ...]
+    committed_ids: frozenset[int]
     view: int = 0
-    committed_chain: tuple[Block, ...] = field(default_factory=lambda: (genesis_block(),))
-    committed_ids: frozenset[int] = frozenset()
     mempool: tuple[Transaction, ...] = ()
     mempool_ids: frozenset[int] = frozenset()
 

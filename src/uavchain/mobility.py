@@ -36,7 +36,12 @@ class Vec3:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def distance_to(self, other: "Vec3") -> float:
-        return (self - other).norm()
+        # ``(self - other).norm()`` without the Vec3 it allocates: the same
+        # operations in the same order, so the float is bit-identical.
+        dx = self.x - other.x
+        dy = self.y - other.y
+        dz = self.z - other.z
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
 
     def clamped(self, max_norm: float) -> "Vec3":
         n = self.norm()

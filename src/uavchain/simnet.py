@@ -353,14 +353,9 @@ class Simulation:
         return cp.vote_bits
 
     def _distance(self, a: SimNode, b: SimNode) -> float:
-        # ``pa.distance_to(pb)`` without the Vec3 it allocates: the same
-        # operations in the same order, so the float is bit-identical.
         pa = a.kin.reported_position
         pb = b.kin.reported_position
-        dx = pa.x - pb.x
-        dy = pa.y - pb.y
-        dz = pa.z - pb.z
-        return max(math.sqrt(dx * dx + dy * dy + dz * dz), MIN_LINK_DISTANCE_M)
+        return max(pa.distance_to(pb), MIN_LINK_DISTANCE_M)
 
     def _send(self, wire: Any, src: NodeId, dst: NodeId) -> None:
         self.counters["sent"] += 1

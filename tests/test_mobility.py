@@ -27,6 +27,22 @@ def state_at(x, y, z, vx=0.0, vy=0.0, vz=0.0, ax=0.0, ay=0.0, az=0.0):
     )
 
 
+class TestVec3:
+    def test_distance_to_is_bit_identical_to_difference_norm(self):
+        rng = random.Random(5)
+
+        def point():
+            return Vec3(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), rng.uniform(0.0, 500.0))
+
+        for i in range(3000):
+            a = point()
+            b = a if i % 10 == 0 else point()  # coincident points too
+            spoof = Vec3(rng.uniform(-5e3, 5e3), rng.uniform(-5e3, 5e3), rng.uniform(-50.0, 50.0))
+            ra = a + spoof if i % 3 == 0 else a
+            rb = b + spoof if i % 5 == 0 else b
+            assert ra.distance_to(rb) == (ra - rb).norm()
+
+
 class TestStep:
     def test_constant_velocity(self):
         cfg = MobilityConfig(dt=1.0)

@@ -1,5 +1,4 @@
 import copy
-import random
 import typing
 
 import pytest
@@ -9,8 +8,8 @@ from uavchain.consensus import ConsensusState, ProtocolKind
 from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_message
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.harness import canonical_fault_plan
-from uavchain.mobility import KinematicState, Vec3
-from uavchain.radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
+from uavchain.mobility import Vec3
+from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
 from uavchain.scenario import ScenarioError
 from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
@@ -381,23 +380,3 @@ class TestPurity:
         # Commits, view changes, syncs and future-height replay all happen here.
         scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
         return Simulation(scn, canonical_fault_plan(scn, 2), protocol, 2)
-
-
-class TestDistance:
-    def test_inline_distance_is_bit_identical_to_vec3(self):
-        rng = random.Random(5)
-        sim = Simulation(mini_scenario(4, duration=0.1), FaultPlan(), ProtocolKind.HYBRID, 1)
-        a, b = sim.nodes[0], sim.nodes[1]
-
-        def point():
-            return Vec3(rng.uniform(-1e4, 1e4), rng.uniform(-1e4, 1e4), rng.uniform(0.0, 500.0))
-
-        for i in range(3000):
-            pa = point()
-            pb = pa if i % 10 == 0 else point()  # coincident points too
-            spoof = Vec3(rng.uniform(-5e3, 5e3), rng.uniform(-5e3, 5e3), rng.uniform(-50.0, 50.0))
-            ra = pa + spoof if i % 3 == 0 else pa
-            rb = pb + spoof if i % 5 == 0 else pb
-            a.kin = KinematicState(position=pa, reported_position=ra)
-            b.kin = KinematicState(position=pb, reported_position=rb)
-            assert sim._distance(a, b) == max(ra.distance_to(rb), MIN_LINK_DISTANCE_M)
