@@ -247,11 +247,16 @@ def _latency_stats(values: Sequence[float]) -> LatencyStats:
     )
 
 
-def commit_latencies(trace: EventTrace) -> dict[str, list[float]]:
+def commit_latencies(
+    trace: EventTrace, arrivals: Optional[list[dict[str, Any]]] = None
+) -> dict[str, list[float]]:
     """Per-mission commit latency samples: first block commit time minus the
-    transaction's arrival time."""
+    transaction's arrival time.  ``arrivals`` are the trace's ``tx_arrival``
+    records, if the caller has already read them."""
+    if arrivals is None:
+        arrivals = trace.by_kind("tx_arrival")
     tx_arrivals: dict[int, tuple[float, str]] = {}
-    for record in trace.by_kind("tx_arrival"):
+    for record in arrivals:
         tx_arrivals[record["tx"]] = (record["t"], record["mission"])
     groups: dict[str, list[float]] = {}
     for record in trace.by_kind("block"):
@@ -278,7 +283,8 @@ def compute_metrics(
     counters = dict(end["counters"])
     duration = end["duration_s"]
 
-    groups = commit_latencies(trace)
+    arrivals = trace.by_kind("tx_arrival")
+    groups = commit_latencies(trace, arrivals)
     all_latencies = [v for g in groups.values() for v in g]
     txs_committed = counters.get("txs_committed", 0)
     throughput = txs_committed / duration if duration > 0 else 0.0
@@ -307,7 +313,7 @@ def compute_metrics(
         duration_s=duration,
         throughput_tps=throughput,
         txs_committed=txs_committed,
-        txs_offered=len(trace.by_kind("tx_arrival")),
+        txs_offered=len(arrivals),
         blocks_committed=counters.get("blocks_committed", 0),
         latency=_latency_stats(all_latencies),
         per_group={mission: _latency_stats(vals) for mission, vals in groups.items()},
@@ -443,9 +449,7 @@ def export(
             [] if report.anova is None else [[*key, *table_row(report.anova)]]
         ))
         with open(paths["events"], "w", encoding="utf-8") as fh:
-            for line in result.trace.jsonl_lines():
-                fh.write(line)
-                fh.write("\n")
+            fh.writelines(result.trace.jsonl_chunks())
         summary = {
             "scenario": scenario_to_dict(scenario),
             "fault_plan": fault_plan_to_dict(fault_plan),

@@ -140,6 +140,14 @@ class SimNode:
         return self.uav.profile.mission
 
 
+# One trace line is its record as compact JSON with sorted keys.  The encoder
+# is built once: `json.dumps` with these options builds a new one per call.
+_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Records per piece of serialized trace: enough to amortize each hash update
+# or file write, few enough that the text in hand stays small.
+_CHUNK_RECORDS = 512
+
+
 class EventTrace:
     """Ordered run trace: one JSON-compatible record per event."""
 
@@ -149,15 +157,18 @@ class EventTrace:
     def add(self, record: dict[str, Any]) -> None:
         self.records.append(record)
 
-    def jsonl_lines(self) -> Iterator[str]:
-        for record in self.records:
-            yield json.dumps(record, sort_keys=True, separators=(",", ":"))
+    def jsonl_chunks(self) -> Iterator[str]:
+        """The trace as JSON lines, each ending in a newline, yielded a chunk
+        of records at a time.  The trace hash and events.jsonl are both these
+        bytes, and neither holds the whole text."""
+        records = self.records
+        for i in range(0, len(records), _CHUNK_RECORDS):
+            yield "\n".join(map(_encode_record, records[i:i + _CHUNK_RECORDS])) + "\n"
 
     def hash_hex(self) -> str:
         h = hashlib.sha256()
-        for line in self.jsonl_lines():
-            h.update(line.encode("utf-8"))
-            h.update(b"\n")
+        for chunk in self.jsonl_chunks():
+            h.update(chunk.encode("utf-8"))
         return h.hexdigest()
 
     def by_kind(self, kind: str) -> list[dict[str, Any]]:
@@ -357,7 +368,9 @@ class Simulation:
         pb = b.kin.reported_position
         return max(pa.distance_to(pb), MIN_LINK_DISTANCE_M)
 
-    def _send(self, wire: Any, src: NodeId, dst: NodeId) -> None:
+    def _send(self, wire: Any, src: NodeId, dst: NodeId, bits: int) -> None:
+        """Send ``wire`` from ``src`` to ``dst``.  ``bits`` is its `_wire_bits`,
+        which a caller computes once per message, not once per recipient."""
         self.counters["sent"] += 1
         if self.full_trace:
             self._record("send", src=src, dst=dst, msg=wire.kind())
@@ -374,7 +387,7 @@ class Simulation:
             if self.full_trace:
                 self._record("drop", src=src, dst=dst, reason="zero_capacity")
             return
-        trans_s = self._wire_bits(wire) / cap
+        trans_s = bits / cap
         prop_s = distance / PROPAGATION_SPEED_M_S
         jitter = 0.0
         if self.scenario.extra_delay_jitter_s > 0:
@@ -387,8 +400,9 @@ class Simulation:
         recipients = [v for v in self.vset.ordered_ids if v != sender]
         for msg in messages:
             for out_msg, targets in self._apply_byzantine(sender, msg, strategy, recipients):
+                bits = self._wire_bits(out_msg)
                 for dst in targets:
-                    self._send(out_msg, sender, dst)
+                    self._send(out_msg, sender, dst, bits)
 
     def _apply_byzantine(
         self,
@@ -573,13 +587,14 @@ class Simulation:
             mission=origin.mission.value, bits=tx.payload_bits,
         )
         wire = TxForward(tx)
+        bits = self._wire_bits(wire)
         for validator in self.vset.ordered_ids if self.vset else ():
             if validator == tx.origin:
                 machine = self.nodes[validator].machine
                 if machine is not None:
                     self.nodes[validator].machine = machine.add_transactions([tx])
             else:
-                self._send(wire, tx.origin, validator)
+                self._send(wire, tx.origin, validator, bits)
 
     def _on_qarr(self, dst: NodeId, wire: Any, src: NodeId, sent_at: float) -> None:
         node = self.nodes[dst]

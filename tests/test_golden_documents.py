@@ -5,10 +5,10 @@ them, so a change in how either is written or read can break the replay of
 summaries written by earlier code.  The pins are SHA-256 hashes of each
 document serialized with sorted keys, recorded from earlier code; the
 replay test re-runs a summary.json that earlier code exported.  The export
-pins hash the bytes of the tables and summary that `export` writes for three
-runs, so a change in how a report is written shows up as a changed file.  A
-change that alters a document on purpose updates the pin and lists the old
-and new hash in CHANGES.md.
+pins hash the bytes of the tables, event trace and summary that `export`
+writes for three runs, so a change in how a report is written shows up as a
+changed file.  A change that alters a document on purpose updates the pin
+and lists the old and new hash in CHANGES.md.
 """
 
 import hashlib
@@ -28,6 +28,7 @@ from uavchain.harness import (
     run_experiment,
 )
 from uavchain.scenario import fault_plan_to_dict, scenario_from_dict, scenario_to_dict
+from uavchain.simnet import _CHUNK_RECORDS
 
 from conftest import mini_scenario
 
@@ -103,7 +104,7 @@ def _anova_run():
     return scn, FaultPlan(), run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 1)
 
 
-EXPORTED = ("metrics", "groups", "anova", "summary")
+EXPORTED = ("metrics", "groups", "anova", "events", "summary")
 
 # name -> (run, SHA-256 of the bytes of each file in EXPORTED)
 EXPORT_PINS = {
@@ -113,6 +114,7 @@ EXPORT_PINS = {
             "cd94ef056025a6a9b908e07ab5de1a8c02e2a0f34de5e7a81008ff52a3bdd553",
             "0d2439645c86f98fed72e6e1315c6871484e7d3deb227d9bc971c151e2375e6a",
             "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
+            "6125da8685d55b9d575455dbe92ce1bdd482f76e7df5fed88c763e47fdce105d",
             "ba72a61a395108d02cf360d3f756a9e175507032725ee7149f31256aaf076072",
         ),
     ),
@@ -122,6 +124,7 @@ EXPORT_PINS = {
             "4bf00376d84d92582a91a56c376eee05612bf917a685bf9641d55a3bb4be0342",
             "c28b6034798f58633352d728aace07205369e03d0cfd73057f71df807e369a03",
             "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
+            "f1afd0c6116ea2e5bfe6343062499cf83b0d3b4a5476966ed9baaaa7cf07a08f",
             "9ed2ca0f8beb7555cdc20ce9119dd30e1a35b582ded5a0342d47db6f36d10a9b",
         ),
     ),
@@ -131,6 +134,7 @@ EXPORT_PINS = {
             "4195d450a0146c3b35274c793dc199565ca449c8d3d3a5d25dd50fe3a684b3be",
             "5b8a4cdb36175a769ef4816b8d2e9475ae9b3a2a251df2407835c3af852625fa",
             "5eb44875bacd32f329b6c4b099e40a6bd9787d28b113ef602f7ac276d7722dcf",
+            "382752192bb630ea459496c3c397e1bdffe1e30a86192a19a56e847ef7ffc769",
             "15ed97816a62431536e3eb908a88cf1f886a28647155e9035cbc189bf4f3b9b3",
         ),
     ),
@@ -144,3 +148,18 @@ def test_exported_file_hashes(name, tmp_path):
     paths = export(report, result, tmp_path, scn, plan)
     digests = tuple(hashlib.sha256(paths[key].read_bytes()).hexdigest() for key in EXPORTED)
     assert digests == pins
+
+
+def test_events_jsonl_is_the_hashed_trace(tmp_path):
+    # The golden attack run of test_golden_hashes.py: its full trace fills
+    # several serializer chunks and part of one more.
+    scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+    plan = canonical_fault_plan(scn, 2)
+    report, result = run_experiment(scn, ProtocolKind.HYBRID, plan, 2)
+    n = len(result.trace.records)
+    assert n > _CHUNK_RECORDS and n % _CHUNK_RECORDS
+    paths = export(report, result, tmp_path, scn, plan)
+    summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
+    events_hash = hashlib.sha256(paths["events"].read_bytes()).hexdigest()
+    assert events_hash == report.trace_hash == summary["trace_hash"]
+    assert events_hash == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"

@@ -96,8 +96,7 @@ class TestDeliveryLatency:
         cap = link_capacity(scn.radio, 2000.0)
         msg_bits = round(cap * 0.010)  # 10 ms transmission
         msg = signed_message(a, Prepare(b"\x00" * 32, 1, 0))
-        sim._wire_bits = lambda wire: msg_bits  # pin the payload size
-        sim._send(msg, a, b)
+        sim._send(msg, a, b, msg_bits)
         deliver_events = [e for e in sim._heap if e[2] is Simulation._on_qarr]
         assert len(deliver_events) == 1
         sim.run()
