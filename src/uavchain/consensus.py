@@ -34,10 +34,12 @@ every fleet node as a validator and the primary fixed by view number.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .domain import (
@@ -275,6 +277,15 @@ class ProtocolConfig:
             vset.draws[key] = select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, height + view, rng)
         return vset.draws[key]
 
+    def deadline(self, now: float, timeouts: int) -> float:
+        """When a node stalled at its height calls a view change, given the
+        view changes it has called since its last commit.  Each one that
+        fails multiplies the wait by ``timeout_backoff`` (Castro & Liskov's
+        doubling); DPoS has no view change, so its deadline never arrives."""
+        if self.kind is ProtocolKind.PURE_DPOS:
+            return math.inf
+        return now + self.timeout_s * self.timeout_backoff ** timeouts
+
     def commit_quorum(self, n: int) -> int:
         if self.kind is ProtocolKind.PURE_DPOS:
             return majority_threshold(n)
@@ -293,10 +304,14 @@ class ConsensusState:
 
     Container fields hold immutable values (tuples / frozensets / Blocks).
     No transition writes into a container: each rebinds the field to a new
-    one (``{**table, key: value}``, ``chain + (block,)``).  So states may
-    share containers, ``copy()`` is a shallow copy, and past states stay
-    valid.  ``{**d, k: v}`` keeps an existing key in place, as ``d[k] = v``
-    does, so every table iterates in the same order either way.
+    one (``{**table, key: value}``, ``chain + (block,)``, a filtered copy of
+    ``mempool``).  So states may share containers, ``copy()`` is a shallow
+    copy, and past states stay valid.  ``{**d, k: v}`` keeps an existing key
+    in place, as ``d[k] = v`` does, so every table iterates in the same
+    order either way.
+
+    ``mempool`` maps each pending tx id to its transaction in arrival order,
+    so its values are the FIFO queue and its keys the dedupe set.
 
     ``committed_ids`` is always the set of tx ids in ``committed_chain``, so
     a membership test costs the same however long the chain grows.  Build a
@@ -308,8 +323,7 @@ class ConsensusState:
     committed_chain: tuple[Block, ...]
     committed_ids: frozenset[int]
     view: int = 0
-    mempool: tuple[Transaction, ...] = ()
-    mempool_ids: frozenset[int] = frozenset()
+    mempool: dict[int, Transaction] = field(default_factory=dict)
 
     # Current-height stores.
     blocks: dict[bytes, Block] = field(default_factory=dict)
@@ -353,15 +367,12 @@ class ConsensusState:
 
     def add_transactions(self, txs: Iterable[Transaction]) -> "ConsensusState":
         new = self.copy()
-        pool = list(new.mempool)
-        ids = set(new.mempool_ids)
+        pool = dict(new.mempool)
         committed = new.committed_ids
         for tx in txs:
-            if tx.tx_id not in ids and tx.tx_id not in committed:
-                pool.append(tx)
-                ids.add(tx.tx_id)
-        new.mempool = tuple(pool)
-        new.mempool_ids = frozenset(ids)
+            if tx.tx_id not in pool and tx.tx_id not in committed:
+                pool[tx.tx_id] = tx
+        new.mempool = pool
         return new
 
 
@@ -375,7 +386,7 @@ def initial_state(
         height=len(chain),
         committed_chain=chain,
         committed_ids=frozenset(tx.tx_id for b in chain for tx in b.transactions),
-        timeout_deadline=now + cfg.timeout_s,
+        timeout_deadline=cfg.deadline(now, 0),
     )
 
 
@@ -388,7 +399,7 @@ class HandleResult(NamedTuple):
 def create_block(state: ConsensusState, max_txs: int) -> Block:
     """Fresh block at the node's next height: FIFO mempool prefix, hashed,
     signed by this node.  An empty mempool yields a valid heartbeat block."""
-    txs = state.mempool[:max_txs]
+    txs = islice(state.mempool.values(), max_txs)
     return make_block(state.height, state.tip.block_hash, state.node, state.view, txs)
 
 
@@ -396,7 +407,7 @@ def proposal_for_turn(state: ConsensusState, cfg: ProtocolConfig) -> Block:
     """The block this node should broadcast as proposer for (height, view):
     its locked block verbatim if it holds one, else a fresh block."""
     locked = state.locked_block()
-    if locked is not None and cfg.kind is not ProtocolKind.PURE_DPOS:
+    if locked is not None:
         return locked
     return create_block(state, cfg.max_txs_per_block)
 
@@ -448,14 +459,12 @@ def handle_message(
             r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}
         return HandleResult(r, outbound, committed)
 
-    _ingest(r, msg, vset, cfg)
+    _ingest(r, msg)
     _advance(r, vset, cfg, now, outbound, committed)
     return HandleResult(r, outbound, committed)
 
 
-def _ingest(
-    r: ConsensusState, msg: ConsensusMessage, vset: ValidatorSet, cfg: ProtocolConfig
-) -> None:
+def _ingest(r: ConsensusState, msg: ConsensusMessage) -> None:
     """Record a current-height message into the state's tallies and stores."""
     body = msg.body
     if isinstance(body, PrePrepare):
@@ -473,16 +482,12 @@ def _ingest(
         if block.block_hash not in attributed:
             r.proposals = {**r.proposals, msg.sender: attributed + (block.block_hash,)}
     elif isinstance(body, Prepare):
-        if body.view >= r.view or cfg.kind is ProtocolKind.PURE_DPOS:
+        if body.view >= r.view:
             r.prepare_votes = _add_vote(r.prepare_votes, (body.block_hash, body.view), msg.sender)
     elif isinstance(body, Commit):
-        if cfg.kind is ProtocolKind.PURE_DPOS:
-            return
         if body.view >= r.view:
             r.commit_votes = _add_vote(r.commit_votes, (body.block_hash, body.view), msg.sender)
     elif isinstance(body, ViewChange):
-        if cfg.kind is ProtocolKind.PURE_DPOS:
-            return
         if body.new_view > r.view:
             r.view_change_votes = _add_vote(r.view_change_votes, body.new_view, msg.sender)
 
@@ -506,7 +511,6 @@ def _candidate_hash(r: ConsensusState, vset: ValidatorSet, cfg: ProtocolConfig) 
 def _apply_commit(
     r: ConsensusState,
     block: Block,
-    vset: ValidatorSet,
     now: float,
     cfg: ProtocolConfig,
     committed: list[Block],
@@ -516,8 +520,7 @@ def _apply_commit(
     r.height += 1
     included = {tx.tx_id for tx in block.transactions}
     r.committed_ids = r.committed_ids | included
-    r.mempool = tuple(tx for tx in r.mempool if tx.tx_id not in included)
-    r.mempool_ids = frozenset(i for i in r.mempool_ids if i not in included)
+    r.mempool = {i: tx for i, tx in r.mempool.items() if i not in included}
     r.blocks = {}
     r.proposals = {}
     r.prepare_votes = {}
@@ -529,12 +532,12 @@ def _apply_commit(
     r.locked_hash = None
     r.locked_view = -1
     r.timeouts_since_commit = 0
-    r.timeout_deadline = now + cfg.timeout_s
+    r.timeout_deadline = cfg.deadline(now, 0)
     # Replay anything buffered for the height we just reached.
     replay = r.future.get(r.height, ())
     r.future = {h: msgs for h, msgs in r.future.items() if h > r.height}
     for buffered in replay:
-        _ingest(r, buffered, vset, cfg)
+        _ingest(r, buffered)
 
 
 def _prepare_vote(
@@ -555,12 +558,12 @@ def _prepare_vote(
 
 def _commit_on_quorum(
     r: ConsensusState, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
-    vset: ValidatorSet, now: float, cfg: ProtocolConfig, committed: list[Block],
+    now: float, cfg: ProtocolConfig, committed: list[Block],
 ) -> bool:
     """Commit the first stored block whose tally in ``votes`` reaches quorum."""
     for (block_hash, _view), senders in votes.items():
         if len(senders) >= quorum and block_hash in r.blocks:
-            _apply_commit(r, r.blocks[block_hash], vset, now, cfg, committed)
+            _apply_commit(r, r.blocks[block_hash], now, cfg, committed)
             return True
     return False
 
@@ -588,13 +591,13 @@ def _advance(
             # Single acknowledgment round: proposer's block commits on a
             # simple majority of distinct acks.
             voted = _prepare_vote(r, vset, cfg, outbound)
-            acked = _commit_on_quorum(r, r.prepare_votes, quorum, vset, now, cfg, committed)
+            acked = _commit_on_quorum(r, r.prepare_votes, quorum, now, cfg, committed)
             changed = voted or acked
             continue
 
         # Commit certificate: a commit quorum for a stored block wins
         # outright, whatever view this node is in.
-        if _commit_on_quorum(r, r.commit_votes, quorum, vset, now, cfg, committed):
+        if _commit_on_quorum(r, r.commit_votes, quorum, now, cfg, committed):
             changed = True
             continue
 
@@ -603,7 +606,7 @@ def _advance(
         if cfg.optimistic_fast_path and not r.observed_fault:
             digest = _candidate_hash(r, vset, cfg)
             if digest is not None:
-                _apply_commit(r, r.blocks[digest], vset, now, cfg, committed)
+                _apply_commit(r, r.blocks[digest], now, cfg, committed)
                 changed = True
                 continue
 
@@ -642,9 +645,7 @@ def _advance(
             senders = r.view_change_votes.get(new_view, frozenset())
             if len(senders) >= quorum:
                 r.view = new_view
-                r.timeout_deadline = now + cfg.timeout_s * (
-                    cfg.timeout_backoff ** r.timeouts_since_commit
-                )
+                r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
                 changed = True
                 break
 
@@ -657,14 +658,12 @@ def on_timeout(
     Re-fires re-send the same target view (receivers deduplicate); the
     deadline backs off exponentially until a commit resets it.
     """
-    if now < state.timeout_deadline or cfg.kind is ProtocolKind.PURE_DPOS:
+    if now < state.timeout_deadline:
         return state, []
     r = state.copy()
     target = r.view + 1
     r.timeouts_since_commit += 1
-    r.timeout_deadline = now + cfg.timeout_s * (
-        cfg.timeout_backoff ** r.timeouts_since_commit
-    )
+    r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
     r.view_change_sent = r.view_change_sent | {target}
     r.view_change_votes = _add_vote(r.view_change_votes, target, r.node)
     return r, [signed_message(r.node, ViewChange(target, r.height))]

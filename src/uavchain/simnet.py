@@ -464,13 +464,10 @@ class Simulation:
             self._schedule(earliest, Simulation._on_proposal, (node_id, h, v))
 
     def _arm_timeout(self, node_id: NodeId) -> None:
-        # DPoS has no view change, so its deadline never moves on a timeout;
-        # re-arming it would refire at the same instant forever.
-        if self.protocol is ProtocolKind.PURE_DPOS:
-            return
         machine = self.nodes[node_id].machine
         if machine is None:  # node left the validator set mid-absorb
             return
+        # An infinite deadline (DPoS) sorts after the end of the run.
         self._schedule(
             machine.timeout_deadline, Simulation._on_timeout, (node_id, machine.timeout_deadline)
         )
@@ -644,7 +641,7 @@ class Simulation:
             return
         fresh = cons.initial_state(node_id, self.now, self.cfg, chain)
         fresh.view = chain[-1].view
-        node.machine = fresh.add_transactions(machine.mempool)
+        node.machine = fresh.add_transactions(machine.mempool.values())
         self._record(
             "sync", node=node_id, from_height=machine.height, to_height=fresh.height,
         )
@@ -674,12 +671,11 @@ class Simulation:
         machine = node.machine
         if machine is None or machine.timeout_deadline != deadline:
             return
-        # Fired at its deadline (DPoS arms none), so on_timeout calls a view change.
+        # Fired at its deadline, so on_timeout calls a view change.
         new_state, outbound = cons.on_timeout(machine, self.now, self.cfg)
         node.machine = new_state
         self._record("timeout", node=node_id, height=machine.height, view=machine.view)
-        if self.plan.byzantine.get(node_id) is not ByzantineStrategy.SILENT:
-            self._broadcast(node_id, outbound)
+        self._broadcast(node_id, outbound)
         # A node's own view-change vote can complete a quorum locally.
         for msg in outbound:
             result = cons.handle_message(node.machine, msg, self.vset, self.now, self.cfg)
@@ -727,7 +723,6 @@ class Simulation:
                 "served": q.served,
                 "mean_wait_s": q.total_wait_s / q.served,
                 "max_wait_s": q.max_wait_s,
-                "mean_len": q.total_len_seen / q.served,
                 "mean_len_over_rate_s": (q.total_len_seen / q.served) / q.service_rate,
             }
         return stats

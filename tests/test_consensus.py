@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -218,6 +219,24 @@ class TestCreateBlock:
         assert block.tx_ids() == (0, 1, 2)
         assert block.height == 1
         assert block.parent_hash == genesis_block().block_hash
+        # Arrival order, not id order; a committed block takes its txs out
+        # and leaves the others in order.
+        vset = vset_of(4)
+        tx = {i: Transaction(tx_id=i, origin=1, created_at=0.0) for i in (1, 3, 5, 7, 9)}
+        state = initial_state(0, 0.0, CFG)
+        state = state.add_transactions([tx[7], tx[3], tx[9]])
+        state = state.add_transactions([tx[3], tx[1]])
+        assert create_block(state, 10).tx_ids() == (7, 3, 9, 1)
+        assert create_block(state, 2).tx_ids() == (7, 3)
+        proposer = CFG.proposer_for(vset, 1, 0)
+        block = make_block(1, genesis_block().block_hash, proposer, 0, [tx[1], tx[3]])
+        com = Commit(block.block_hash, 1, 0)
+        msgs = [signed_message(proposer, PrePrepare(block))]
+        msgs += [signed_message(i, com) for i in range(1, 4)]
+        state, _, committed = run_messages(state, msgs, vset, CFG)
+        assert committed == [block]
+        state = state.add_transactions([tx[5], tx[1]])
+        assert create_block(state, 10).tx_ids() == (7, 9, 5)
 
     def test_empty_mempool_heartbeat(self):
         state = initial_state(0, 0.0, CFG)
@@ -251,7 +270,7 @@ class TestCreateBlock:
         chain = (genesis_block(), make_block(1, genesis_block().block_hash, 1, 0, [old]))
         state = initial_state(0, 0.0, CFG, chain)
         assert (state.height, state.tip, state.committed_ids) == (2, chain[-1], {4})
-        assert state.add_transactions([old, new]).mempool == (new,)
+        assert tuple(state.add_transactions([old, new]).mempool.values()) == (new,)
 
 
 def run_messages(state, msgs, vset, cfg, now=0.0):
@@ -430,6 +449,23 @@ class TestViewChange:
         assert out == []
         assert new_state is state
 
+    @pytest.mark.parametrize("kind", [ProtocolKind.HYBRID, ProtocolKind.PURE_PBFT])
+    def test_deadline_matches_backoff_formula(self, kind):
+        rng = random.Random(10)
+        for _ in range(200):
+            cfg = ProtocolConfig(
+                kind=kind, timeout_s=rng.uniform(0.01, 2.0), timeout_backoff=rng.uniform(1.0, 3.0)
+            )
+            now = rng.uniform(0.0, 1e4)
+            for k in range(7):
+                if k == 0:
+                    expected = now + cfg.timeout_s
+                else:
+                    expected = now + cfg.timeout_s * cfg.timeout_backoff ** k
+                assert cfg.deadline(now, k) == expected
+        dpos = ProtocolConfig(kind=ProtocolKind.PURE_DPOS)
+        assert all(dpos.deadline(rng.uniform(0.0, 1e4), k) == math.inf for k in range(7))
+
     def test_deadline_backs_off_exponentially(self):
         state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
@@ -586,11 +622,21 @@ class TestDposBaseline:
         assert committed
 
     def test_no_view_change_in_dpos(self):
-        cfg = ProtocolConfig(kind=ProtocolKind.PURE_DPOS)
-        state = initial_state(0, 0.0, cfg)
-        state.timeout_deadline = 0.1
-        new_state, out = on_timeout(state, 1.0, cfg)
-        assert out == []
+        cfg = ProtocolConfig(kind=ProtocolKind.PURE_DPOS, max_txs_per_block=8)
+        vset = vset_of(4)
+        proposer = cfg.proposer_for(vset, 1, 0)
+        node = initial_state((proposer + 1) % 4, 0.0, cfg)
+        assert node.timeout_deadline == math.inf
+        block = create_block(initial_state(proposer, 0.0, cfg), 8)
+        ack = Prepare(block.block_hash, 1, 0)
+        other = next(i for i in range(4) if i not in (node.node, proposer))
+        msgs = [signed_message(proposer, PrePrepare(block))]
+        msgs += [signed_message(other, ack), signed_message(proposer, ack)]
+        node, _, committed = run_messages(node, msgs, vset, cfg, now=2.0)
+        assert committed
+        assert node.timeout_deadline == math.inf
+        new_state, out = on_timeout(node, 1e9, cfg)
+        assert new_state is node and out == []
 
 
 class TestHistoryUpdate:

@@ -50,6 +50,23 @@ def test_canonical_attack_full_trace_hash():
     assert result.trace_hash() == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"
 
 
+CANONICAL_ATTACK_BASELINES = {
+    ProtocolKind.PURE_DPOS: "5a496364d33af5c0312921c22d44f304b87f67d8f7750bc4bcae2ea68a14d4ba",
+    ProtocolKind.PURE_PBFT: "46d29b92761ee20bdf846ad9b0968303a93b6675071d1a2e75a71917da880843",
+}
+
+
+@pytest.mark.parametrize("protocol", list(CANONICAL_ATTACK_BASELINES), ids=lambda p: p.value)
+def test_canonical_attack_baseline_hash(protocol):
+    # The attack run under each baseline: DPoS never times out, and PBFT's
+    # view changes exercise the deadline backoff.
+    scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+    result = run(scn, canonical_fault_plan(scn, 2), protocol, 2)
+    timeouts = result.trace.by_kind("timeout")
+    assert bool(timeouts) is (protocol is ProtocolKind.PURE_PBFT)
+    assert result.trace_hash() == CANONICAL_ATTACK_BASELINES[protocol]
+
+
 def test_reelection_with_changed_ids_hash():
     # Seven of ten UAVs validate and the top-scored one stays silent, so its
     # history drops and each re-election swaps one member in and one out.
