@@ -44,7 +44,7 @@ from .harness import (
     run_experiment,
 )
 from .mobility import KinematicState, MobilityConfig, Vec3, apply_spoofing, sample_waypoint, step
-from .radio import LatencyBreakdown, LinkBudgetParams, NodeServiceProfile, capacity, latency_components, snr
+from .radio import LinkBudgetParams, NodeServiceProfile, capacity, snr
 from .scenario import Scenario, load_scenario, save_scenario
 from .simnet import EventTrace, RunResult, Simulation, run
 from .stats import AnovaResult

@@ -201,17 +201,8 @@ def proposer_distribution(vset: ValidatorSet) -> dict[NodeId, float]:
     return {m.node: m.stake / total for m in vset.members}
 
 
-def select_proposer(
-    vset: ValidatorSet,
-    policy: ProposerPolicy,
-    round_index: int,
-    rng: Optional[random.Random] = None,
-) -> NodeId:
-    """Next proposer: rotating schedule or a seeded stake-weighted draw."""
-    if policy is ProposerPolicy.ROUND_ROBIN:
-        return vset.members[round_index % vset.n].node
-    if rng is None:
-        raise ValueError("stake-weighted selection needs a seeded rng stream")
+def select_proposer(vset: ValidatorSet, rng: random.Random) -> NodeId:
+    """A stake-weighted draw of the proposer from a seeded stream."""
     dist = proposer_distribution(vset)
     u = rng.random()
     acc = 0.0
@@ -274,7 +265,7 @@ class ProtocolConfig:
         key = (self.seed, height, view)
         if key not in vset.draws:
             rng = substream(self.seed, f"proposer:{height}:{view}")
-            vset.draws[key] = select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, height + view, rng)
+            vset.draws[key] = select_proposer(vset, rng)
         return vset.draws[key]
 
     def deadline(self, now: float, timeouts: int) -> float:

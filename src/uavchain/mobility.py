@@ -117,21 +117,15 @@ def _reflect(value: float, velocity: float, lo: float, hi: float) -> tuple[float
     return value, velocity
 
 
-def _integrate(state: KinematicState, dt: float) -> tuple[Vec3, Vec3]:
-    """Position and velocity after dt of constant acceleration, unbounded."""
-    pos = state.position + state.velocity.scale(dt) + state.acceleration.scale(0.5 * dt * dt)
-    vel = state.velocity + state.acceleration.scale(dt)
-    return pos, vel
-
-
 def step(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
     """Advance one dt: constant-acceleration update, speed clamp, reflection.
 
     The true position moves; any spoofing offset on the reported position is
     carried along unchanged.
     """
-    pos, vel = _integrate(state, cfg.dt)
-    vel = vel.clamped(cfg.v_max)
+    dt = cfg.dt
+    pos = state.position + state.velocity.scale(dt) + state.acceleration.scale(0.5 * dt * dt)
+    vel = (state.velocity + state.acceleration.scale(dt)).clamped(cfg.v_max)
 
     a = cfg.area
     x, vx = _reflect(pos.x, vel.x, a.x_min, a.x_max)
@@ -147,13 +141,6 @@ def step(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
         acceleration=state.acceleration,
         reported_position=pos + offset,
     )
-
-
-def step_unbounded(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
-    """The raw kinematic update with no clamping or reflection (test hook)."""
-    pos, vel = _integrate(state, cfg.dt)
-    offset = state.reported_position - state.position
-    return KinematicState(pos, vel, state.acceleration, pos + offset)
 
 
 def sample_waypoint(rng: random.Random, area: AreaBounds) -> Vec3:

@@ -1,4 +1,4 @@
-"""Link SNR, Shannon capacity, and the four-component message latency model.
+"""Link SNR and Shannon capacity: the radio half of the message latency model.
 
 Pure functions over value types.  Conventions:
 
@@ -6,11 +6,12 @@ Pure functions over value types.  Conventions:
   the free-space SNR divides by it directly rather than by a spectral
   density times bandwidth, which keeps the link budget dimensionally
   consistent with a single noise knob.
-* Per-message transmission latency is ``msg_bits / capacity``; the
-  single-bit case reduces to the reciprocal-capacity form.
-* Queue latency has two modes: the analytic estimate here
-  (``queue_len / service_rate``, a steady-state approximation used for
-  reports) and the measured FIFO wait tracked by the network simulator.
+* A message's latency is processing + queuing + transmission +
+  propagation.  The network simulator composes it: transmission is
+  ``msg_bits / link_capacity`` and propagation ``distance /
+  PROPAGATION_SPEED_M_S``, both in ``Simulation._send``; the queue wait is
+  measured by its FIFO (``NodeQueue``) and processing comes from
+  ``NodeServiceProfile``.
 * Callers must clamp co-located UAVs to a 1 m separation floor
   (``MIN_LINK_DISTANCE_M``) before evaluating the far-field SNR formula.
 """
@@ -32,10 +33,6 @@ MIN_LINK_DISTANCE_M = 1.0
 
 class ZeroDistance(ValueError):
     """Degenerate geometry: non-positive link distance."""
-
-
-class ZeroCapacity(ValueError):
-    """Unusable link: channel capacity is zero for this SNR/bandwidth."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +74,6 @@ class NodeServiceProfile:
             raise ValueError("proc_latency_s must be >= 0")
 
 
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    proc_s: float
-    queue_s: float
-    trans_s: float
-    prop_s: float
-    total_s: float
-
-
 def dbi_to_linear(gain_dbi: float) -> float:
     return 10.0 ** (gain_dbi / 10.0)
 
@@ -111,39 +99,3 @@ def capacity(bandwidth_hz: float, snr_ratio: float) -> float:
 def link_capacity(params: LinkBudgetParams, distance_m: float) -> float:
     return capacity(params.bandwidth_hz, snr(params, distance_m))
 
-
-def latency_components(
-    msg_bits: int,
-    distance_m: float,
-    queue_len_msgs: float,
-    params: LinkBudgetParams,
-    service: NodeServiceProfile,
-) -> LatencyBreakdown:
-    """Per-message latency decomposition: processing + queuing + transmission
-    + propagation, with the total as their exact sum.
-
-    Queue latency here is the analytic estimate (queue length over service
-    rate); the event-driven simulator measures the actual FIFO wait instead.
-    """
-    if msg_bits <= 0:
-        raise ValueError("msg_bits must be positive")
-    cap = link_capacity(params, distance_m)
-    if cap <= 0.0:
-        raise ZeroCapacity(f"zero capacity over {distance_m} m link")
-    proc_s = service.proc_latency_s
-    queue_s = queue_len_msgs / service.service_rate_msgs_per_s
-    trans_s = msg_bits / cap
-    prop_s = distance_m / PROPAGATION_SPEED_M_S
-    return LatencyBreakdown(
-        proc_s=proc_s,
-        queue_s=queue_s,
-        trans_s=trans_s,
-        prop_s=prop_s,
-        total_s=proc_s + queue_s + trans_s + prop_s,
-    )
-
-
-# Component preset for intra-cluster links: 10 ms processing, 1 ms
-# queuing at unit queue length, and service sized so those figures round-trip
-# through the scenario config.
-INTRA_CLUSTER_SERVICE = NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0)

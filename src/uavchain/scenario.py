@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -85,9 +86,12 @@ class ConsensusParams:
     header_bits: int = 2048
 
     def __post_init__(self) -> None:
-        # A negative message size runs the simulated clock backwards, a
-        # negative block size drops mempool entries, and a deadline that
-        # never moves past the clock stops it.
+        # Fewer than 4 validators tolerate no byzantine node, and election
+        # refuses them.  A negative message size runs the simulated clock
+        # backwards, a negative block size drops mempool entries, and a
+        # deadline that never moves past the clock stops it.
+        if self.n_validators < 4:
+            raise ScenarioError("n_validators must be >= 4")
         for name in ("max_txs_per_block", "min_block_interval_s", "vote_bits", "header_bits"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be >= 0")
@@ -206,7 +210,7 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
 # A section holds the fields of one dataclass: a key must name a field, a
 # field without a default is required, and a value must have the field's
 # type.  bool, int and str take exactly that JSON type, float takes any
-# number, an enum takes its value, a flat dataclass (Region, AreaBounds,
+# finite number, an enum takes its value, a flat dataclass (Region, AreaBounds,
 # ScoreWeights, Vec3) a list of its fields, and a tuple of dataclasses a list
 # of sections.
 
@@ -239,10 +243,16 @@ def _mistyped(value: Any, where: str, key: str, expected: str) -> NoReturn:
 @functools.cache
 def _converter(tp: Any) -> _Converter:
     """How a JSON value under ``where``.``key`` becomes a value of type ``tp``."""
-    if tp in _SCALARS:
-        types = (int, float) if tp is float else (tp,)
+    if tp is float:
+        # Python's json reads NaN, Infinity and integers too large for a
+        # float; no field takes them (a NaN duration never ends a run).
         return lambda value, where, key: (
-            tp(value) if type(value) in types else _mistyped(value, where, key, tp.__name__)
+            float(value) if type(value) in (int, float) and abs(value) <= sys.float_info.max
+            else _mistyped(value, where, key, "a finite number")
+        )
+    if tp in _SCALARS:
+        return lambda value, where, key: (
+            value if type(value) is tp else _mistyped(value, where, key, tp.__name__)
         )
     if isinstance(tp, type) and issubclass(tp, Enum):
         values = [member.value for member in tp]

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
-from uavchain.consensus import Mission, ProposerPolicy
-from uavchain.mobility import AreaBounds, MobilityConfig
+from uavchain.consensus import Mission, ProposerPolicy, ProtocolKind
+from uavchain.domain import Prepare, signed_message
+from uavchain.faults import FaultPlan
+from uavchain.mobility import AreaBounds, KinematicState, MobilityConfig, Vec3
 from uavchain.radio import LinkBudgetParams, NodeServiceProfile
 from uavchain.scenario import ClusterSpec, ConsensusParams, Region, Scenario, WorkloadParams
+from uavchain.simnet import NodeQueue, Simulation
 
 
 def mini_scenario(
@@ -44,3 +49,29 @@ def mini_scenario(
 @pytest.fixture
 def small_scenario() -> Scenario:
     return mini_scenario(4, duration=2.0)
+
+
+def link_deliveries(
+    distance: float,
+    sizes: list[int],
+    service: NodeServiceProfile,
+    radio: LinkBudgetParams = LinkBudgetParams(),
+) -> tuple[list[float], NodeQueue]:
+    """Send one message of each size in ``sizes`` (bits), all at t = 0 and in
+    that order, between two nodes ``distance`` m apart through the
+    simulator's own transport, and run it.  Returns the delivered messages'
+    latencies from the trace, in delivery order, and the receiver's queue.
+    Nothing else is sent: there is no workload, and the first proposal and
+    view change fall after the run."""
+    scn = mini_scenario(4, duration=1.0, tx_rate=0.0, timeout_s=10.0, trace_detail="full")
+    scn = replace(scn, radio=radio, service=service, consensus=replace(scn.consensus, min_block_interval_s=10.0))
+    sim = Simulation(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
+    src, dst = sorted(sim.nodes)[:2]
+    sim.nodes[src].kin = KinematicState(position=Vec3(0.0, 0.0, 100.0))
+    sim.nodes[dst].kin = KinematicState(position=Vec3(distance, 0.0, 100.0))
+    msg = signed_message(src, Prepare(b"\x00" * 32, 1, 0))
+    for bits in sizes:
+        sim._send(msg, src, dst, bits)
+    result = sim.run()
+    latencies = [r["latency"] for r in result.trace.by_kind("deliver")]
+    return latencies, sim.nodes[dst].queue

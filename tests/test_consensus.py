@@ -151,14 +151,16 @@ class TestProposerSelection:
 
     def test_round_robin_wraps(self):
         vset = vset_of(3)
-        # members in score order are nodes (0, 1, 2); round 4 -> index 1
-        assert select_proposer(vset, ProposerPolicy.ROUND_ROBIN, 4) == 1
+        cfg = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN)
+        # members in score order are nodes (0, 1, 2); height + view 4 -> index 1
+        assert [cfg.proposer_for(vset, h, 4 - h) for h in range(5)] == [1] * 5
+        assert [cfg.proposer_for(vset, h, 0) for h in range(6)] == [0, 1, 2, 0, 1, 2]
 
     def test_stake_weighted_single_nonzero(self):
         vset = vset_of(3, stakes=[0.0, 4.0, 0.0])
         rng = random.Random(0)
         for _ in range(100):
-            assert select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, 0, rng) == 1
+            assert select_proposer(vset, rng) == 1
 
     def test_stake_weighted_frequencies(self):
         vset = vset_of(3, stakes=[1.0, 1.0, 2.0])
@@ -166,7 +168,7 @@ class TestProposerSelection:
         counts = {0: 0, 1: 0, 2: 0}
         draws = 100_000
         for _ in range(draws):
-            counts[select_proposer(vset, ProposerPolicy.STAKE_WEIGHTED, 0, rng)] += 1
+            counts[select_proposer(vset, rng)] += 1
         assert counts[0] / draws == pytest.approx(0.25, abs=0.01)
         assert counts[1] / draws == pytest.approx(0.25, abs=0.01)
         assert counts[2] / draws == pytest.approx(0.50, abs=0.01)
@@ -182,7 +184,7 @@ class TestProposerSelection:
             cfg = ProtocolConfig(seed=seed)
             fresh = vset_of(5, stakes)
             expected = [
-                select_proposer(fresh, ProposerPolicy.STAKE_WEIGHTED, h + v, substream(seed, f"proposer:{h}:{v}"))
+                select_proposer(fresh, substream(seed, f"proposer:{h}:{v}"))
                 for h, v in rounds
             ]
             assert [cfg.proposer_for(fresh, h, v) for h, v in rounds] == expected

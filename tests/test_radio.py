@@ -1,22 +1,24 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from uavchain.consensus import ProtocolKind
+from uavchain.faults import FaultPlan
 from uavchain.radio import (
-    INTRA_CLUSTER_SERVICE,
-    LatencyBreakdown,
     LinkBudgetParams,
     NodeServiceProfile,
     PROPAGATION_SPEED_M_S,
-    ZeroCapacity,
     ZeroDistance,
     capacity,
     dbi_to_linear,
-    latency_components,
     link_capacity,
     snr,
 )
+from uavchain.simnet import run
+
+from conftest import link_deliveries, mini_scenario
 
 # Hand evaluation of the free-space SNR with the reference radio constants
 # (1 W, 6 dBi both ends, 915 MHz, 1e-13 W noise) at 1 km.
@@ -85,62 +87,74 @@ class TestCapacity:
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
+# The 10 ms processing and 1000 msg/s (1 ms per queued message) presets.
+CLUSTER_SERVICE = NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0)
+# No processing and an idle queue: latency is transmission + propagation.
+NO_PROCESSING = NodeServiceProfile(proc_latency_s=0.0, service_rate_msgs_per_s=1000.0)
+
+
 class TestLatencyComponents:
+    """A delivered message's latency, as the simulator's transport produces
+    it, against its four components.  Trace latencies are rounded to 1e-9 s."""
+
     def test_cluster_preset_totals(self):
-        # Component presets: 10 ms processing, 1 ms queuing (one message in
-        # queue at 1000 msg/s), 10 ms transmission, 0.3 ms propagation.
-        prop_target_s = 0.0003
-        distance = prop_target_s * PROPAGATION_SPEED_M_S
-        cap = link_capacity(REFERENCE_RADIO, distance)
-        msg_bits = round(cap * 0.010)
-        lb = latency_components(msg_bits, distance, 1.0, REFERENCE_RADIO, INTRA_CLUSTER_SERVICE)
-        assert lb.proc_s == pytest.approx(0.010)
-        assert lb.queue_s == pytest.approx(0.001)
-        assert lb.trans_s == pytest.approx(0.010, rel=1e-6)
-        assert lb.prop_s == pytest.approx(0.0003, rel=1e-12)
-        assert lb.total_s == pytest.approx(0.0213, rel=1e-4)
+        # Component presets: 10 ms processing, 10 ms transmission, 0.3 ms
+        # propagation, and 1 ms queuing for a second message that arrives
+        # with the first.
+        distance = 0.0003 * PROPAGATION_SPEED_M_S
+        bits = round(link_capacity(REFERENCE_RADIO, distance) * 0.010)
+        (first, second), queue = link_deliveries(distance, [bits, bits], CLUSTER_SERVICE)
+        assert queue.total_wait_s == pytest.approx(0.001, rel=1e-9)
+        assert first == pytest.approx(0.0203, rel=1e-6)
+        assert second - first == pytest.approx(0.001, abs=1e-9)
+        assert second == pytest.approx(0.0213, rel=1e-4)
 
     def test_propagation_3km_is_ten_microseconds(self):
-        lb = latency_components(1000, 3_000.0, 0.0, REFERENCE_RADIO, INTRA_CLUSTER_SERVICE)
-        assert lb.prop_s == 10e-6
+        # A zero-size message with no processing is propagation only.
+        assert link_deliveries(3_000.0, [0], NO_PROCESSING)[0] == [10e-6]
 
     def test_trans_is_bits_over_capacity(self):
-        lb = latency_components(100_000, 1_000.0, 0.0, REFERENCE_RADIO, INTRA_CLUSTER_SERVICE)
-        cap = link_capacity(REFERENCE_RADIO, 1_000.0)
-        assert lb.trans_s == pytest.approx(100_000 / cap, rel=1e-12)
+        (latency,), _ = link_deliveries(1_000.0, [100_000], NO_PROCESSING)
+        trans = latency - 1_000.0 / PROPAGATION_SPEED_M_S
+        assert trans == pytest.approx(100_000 / link_capacity(REFERENCE_RADIO, 1_000.0), abs=1e-9)
 
     def test_total_is_exact_sum(self):
+        # Two messages sent at once: the first finds the queue idle, so the
+        # second's measured wait is all the queue's wait.
         rng = random.Random(7)
-        for _ in range(200):
-            bits = rng.randint(1, 10**7)
+        for _ in range(50):
+            sizes = sorted(rng.randint(1, 10**7) for _ in range(2))
             d = rng.uniform(1, 30_000)
-            qlen = rng.uniform(0, 50)
             service = NodeServiceProfile(
                 proc_latency_s=rng.uniform(0, 0.05),
                 service_rate_msgs_per_s=rng.uniform(10, 10_000),
             )
-            lb = latency_components(bits, d, qlen, REFERENCE_RADIO, service)
-            assert lb.total_s == lb.proc_s + lb.queue_s + lb.trans_s + lb.prop_s
+            latencies, queue = link_deliveries(d, sizes, service)
+            assert queue.served == len(latencies) == 2
+            cap = link_capacity(REFERENCE_RADIO, d)
+            for latency, bits, wait in zip(latencies, sizes, (0.0, queue.total_wait_s)):
+                parts = service.proc_latency_s + wait + bits / cap + d / PROPAGATION_SPEED_M_S
+                assert abs(latency - parts) <= 1e-9
 
     def test_trans_monotone_in_bits(self):
         sizes = [10, 100, 1_000, 10_000]
-        values = [
-            latency_components(b, 500.0, 0.0, REFERENCE_RADIO, INTRA_CLUSTER_SERVICE).trans_s
-            for b in sizes
-        ]
+        values = [link_deliveries(500.0, [b], NO_PROCESSING)[0][0] for b in sizes]
         assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_zero_capacity_raises(self):
-        dead = LinkBudgetParams(tx_power_w=1e-300)
-        with pytest.raises(ZeroCapacity):
-            latency_components(1000, 1_000.0, 0.0, dead, INTRA_CLUSTER_SERVICE)
+    def test_zero_capacity_link_drops_every_send(self):
+        # A transmitter too weak to carry a bit: the link drops every message.
+        scn = replace(mini_scenario(4, duration=1.0, trace_detail="full"), radio=LinkBudgetParams(tx_power_w=1e-300))
+        result = run(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
+        counters = result.counters
+        assert counters["sent"] > 0
+        assert counters["dropped_zero_capacity"] == counters["sent"]
+        assert counters["delivered"] == 0 and counters["blocks_committed"] == 0
+        drops = result.trace.by_kind("drop")
+        assert len(drops) == counters["sent"]
+        assert {r["reason"] for r in drops} == {"zero_capacity"}
 
     def test_prop_below_area_bound(self):
         # Worst-case in-area distance is the 25 km box diagonal.
         diagonal = 25_000.0 * math.sqrt(2.0)
-        lb = latency_components(1000, diagonal, 0.0, REFERENCE_RADIO, INTRA_CLUSTER_SERVICE)
-        assert lb.prop_s < 0.12e-3
-
-    def test_breakdown_is_value_type(self):
-        lb = LatencyBreakdown(0.01, 0.001, 0.01, 0.0003, 0.0213)
-        assert lb == LatencyBreakdown(0.01, 0.001, 0.01, 0.0003, 0.0213)
+        (latency,), _ = link_deliveries(diagonal, [0], NO_PROCESSING)
+        assert latency < 0.12e-3

@@ -150,6 +150,40 @@ class TestMalformedValues:
         with pytest.raises(ScenarioError, match=rf"^{re.escape(path)} must be "):
             scenario_from_dict(doc)
 
+    # Python's json reads NaN and Infinity, and an integer too large for a
+    # float; a float field takes none of them.
+    NON_FINITE = pytest.mark.parametrize(
+        "literal", ["NaN", "Infinity", "1" + "0" * 400], ids=["nan", "inf", "1e400"]
+    )
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "path", ["run.duration_s", "consensus.timeout_s", "radio.noise_power_w", "fleet.rescue.stake"]
+    )
+    def test_non_finite_number_rejected(self, path, literal):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        _set_path(doc, path, json.loads(literal))
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(path)} must be a finite number"):
+            scenario_from_dict(doc)
+
+    @NON_FINITE
+    def test_non_finite_vector_entry_rejected(self, literal):
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["geometry"]["area"][5] = json.loads(literal)
+        with pytest.raises(ScenarioError, match=r"^geometry\.area must be a finite number"):
+            scenario_from_dict(doc)
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "kind,key", [("ddos", "flood_rate_msgs_per_s"), ("ddos", "duration_s"), ("spoof", "duration_s")]
+    )
+    def test_non_finite_plan_number_rejected(self, kind, key, literal):
+        window = {"target": 1, "start_s": 0.5, "duration_s": 1.0}
+        window.update({"flood_rate_msgs_per_s": 200.0} if kind == "ddos" else {"offset": [10.0, 0.0, 0.0]})
+        window[key] = json.loads(literal)
+        with pytest.raises(ScenarioError, match=rf"^attacks\.{kind}\.{key} must be a finite number"):
+            fault_plan_from_dict({kind: [window]})
+
     def test_float_field_takes_an_integer(self):
         doc = scenario_to_dict(build_hurricane_scenario())
         doc["run"]["duration_s"] = 30
@@ -220,6 +254,8 @@ class TestRanges:
             ("workload.payload_bits", -1),
             ("fleet.rescue.stake_jitter", 1.5),
             ("run.extra_delay_jitter_s", -0.1),
+            ("consensus.n_validators", 3),
+            ("consensus.n_validators", -5),
         ],
     )
     def test_value_out_of_range_rejected(self, path, value):
@@ -245,6 +281,12 @@ class TestOverrides:
     def test_dotted_path_override(self):
         scn = build_hurricane_scenario({"consensus.n_validators": 8})
         assert scn.consensus.n_validators == 8
+
+    def test_too_few_validators_rejected_at_load(self):
+        # Election needs 4 validators to tolerate one byzantine node; the
+        # scenario fails at load, not when the run elects.
+        with pytest.raises(ScenarioError, match="n_validators must be >= 4"):
+            build_hurricane_scenario({"consensus.n_validators": 3})
 
     def test_unknown_override_raises_with_key(self):
         with pytest.raises(InvalidOverride) as err:
