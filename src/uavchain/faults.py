@@ -8,6 +8,7 @@ strategies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,10 +23,10 @@ class ByzantineStrategy(Enum):
 
 
 def _check_window(start_s: float, duration_s: float) -> None:
-    if not start_s >= 0:
-        raise ValueError("start_s must be >= 0")
-    if not duration_s > 0:
-        raise ValueError("duration_s must be > 0")
+    if not 0 <= start_s < math.inf:
+        raise ValueError("start_s must be >= 0 and finite")
+    if not 0 < duration_s < math.inf:
+        raise ValueError("duration_s must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,9 @@ class DdosWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.duration_s)
-        if not self.flood_rate_msgs_per_s > 0:
-            raise ValueError("flood_rate_msgs_per_s must be > 0")
+        # An infinite rate draws zero gaps, so junk generation never ends.
+        if not 0 < self.flood_rate_msgs_per_s < math.inf:
+            raise ValueError("flood_rate_msgs_per_s must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -50,6 +52,8 @@ class SpoofWindow:
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.duration_s)
+        if not all(map(math.isfinite, (self.offset.x, self.offset.y, self.offset.z))):
+            raise ValueError("offset must be finite")
         if self.offset == ZERO:
             raise ValueError("offset must be non-zero")
 

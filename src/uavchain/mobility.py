@@ -8,13 +8,21 @@ State advances by the discrete constant-acceleration update
 with reflection at the area boundaries.  True and reported positions are
 kept separate so GPS-spoofing experiments can shift what the network layer
 sees without touching the physics.
+
+The functions run once per UAV per tick, so they work on plain floats and
+allocate only the value they return.  Their operation order is part of the
+determinism contract: each float comes from the same operations, in the same
+order, as the vector formula it implements (``p + v*dt`` is ``(p.x + v.x*dt)``
+and so on, per axis), so a trajectory and every trace hash built on it are
+bit-identical to the vector formulation.  A rewrite must keep that order;
+``tests/test_mobility.py`` holds the vector version as its oracle.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -29,9 +37,6 @@ class Vec3:
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def scale(self, k: float) -> "Vec3":
-        return Vec3(self.x * k, self.y * k, self.z * k)
-
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
@@ -42,12 +47,6 @@ class Vec3:
         dy = self.y - other.y
         dz = self.z - other.z
         return math.sqrt(dx * dx + dy * dy + dz * dz)
-
-    def clamped(self, max_norm: float) -> "Vec3":
-        n = self.norm()
-        if n <= max_norm or n == 0.0:
-            return self
-        return self.scale(max_norm / n)
 
 
 ZERO = Vec3(0.0, 0.0, 0.0)
@@ -65,15 +64,11 @@ class AreaBounds:
     z_max: float
 
     def __post_init__(self) -> None:
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.z_min, self.z_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("area bounds must be finite numbers")
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.z_min < self.z_max):
             raise ValueError("area bounds must be non-degenerate")
-
-    def contains(self, p: Vec3, tol: float = 1e-9) -> bool:
-        return (
-            self.x_min - tol <= p.x <= self.x_max + tol
-            and self.y_min - tol <= p.y <= self.y_max + tol
-            and self.z_min - tol <= p.z <= self.z_max + tol
-        )
 
 
 # 25 km x 25 km urban area with a [50, 500] m altitude band.
@@ -89,8 +84,9 @@ class MobilityConfig:
     waypoint_arrival_radius: float = 50.0
 
     def __post_init__(self) -> None:
-        if min(self.v_max, self.a_max, self.dt, self.waypoint_arrival_radius) <= 0:
-            raise ValueError("mobility parameters must be positive")
+        limits = (self.v_max, self.a_max, self.dt, self.waypoint_arrival_radius)
+        if not all(0 < value < math.inf for value in limits):
+            raise ValueError("mobility parameters must be positive finite numbers")
 
 
 @dataclass(frozen=True)
@@ -124,22 +120,33 @@ def step(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
     carried along unchanged.
     """
     dt = cfg.dt
-    pos = state.position + state.velocity.scale(dt) + state.acceleration.scale(0.5 * dt * dt)
-    vel = (state.velocity + state.acceleration.scale(dt)).clamped(cfg.v_max)
+    p, v, acc = state.position, state.velocity, state.acceleration
+    ax, ay, az = acc.x, acc.y, acc.z
+    # position + velocity*dt + acceleration*(0.5*dt*dt)
+    h = 0.5 * dt * dt
+    x = p.x + v.x * dt + ax * h
+    y = p.y + v.y * dt + ay * h
+    z = p.z + v.z * dt + az * h
+    # velocity + acceleration*dt, clamped to v_max
+    vx = v.x + ax * dt
+    vy = v.y + ay * dt
+    vz = v.z + az * dt
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if not (n <= cfg.v_max or n == 0.0):
+        k = cfg.v_max / n
+        vx, vy, vz = vx * k, vy * k, vz * k
 
     a = cfg.area
-    x, vx = _reflect(pos.x, vel.x, a.x_min, a.x_max)
-    y, vy = _reflect(pos.y, vel.y, a.y_min, a.y_max)
-    z, vz = _reflect(pos.z, vel.z, a.z_min, a.z_max)
-    pos = Vec3(x, y, z)
-    vel = Vec3(vx, vy, vz)
+    x, vx = _reflect(x, vx, a.x_min, a.x_max)
+    y, vy = _reflect(y, vy, a.y_min, a.y_max)
+    z, vz = _reflect(z, vz, a.z_min, a.z_max)
 
-    offset = state.reported_position - state.position
+    r = state.reported_position
     return KinematicState(
-        position=pos,
-        velocity=vel,
-        acceleration=state.acceleration,
-        reported_position=pos + offset,
+        Vec3(x, y, z),
+        Vec3(vx, vy, vz),
+        acc,
+        Vec3(x + (r.x - p.x), y + (r.y - p.y), z + (r.z - p.z)),
     )
 
 
@@ -162,15 +169,33 @@ def steer_to_waypoint(state: KinematicState, waypoint: Vec3, cfg: MobilityConfig
     the a_max-clamped correction toward that desired velocity.  The damping
     makes the closing distance settle monotonically instead of orbiting.
     """
-    to_target = waypoint - state.position
-    dist = to_target.norm()
+    p, v = state.position, state.velocity
+    tx = waypoint.x - p.x
+    ty = waypoint.y - p.y
+    tz = waypoint.z - p.z
+    dist = math.sqrt(tx * tx + ty * ty + tz * tz)
     if dist <= cfg.waypoint_arrival_radius:
+        # The one return of the ZERO object itself: the tick tests ``is ZERO``
+        # for arrival, while a zero correction away from the waypoint is a
+        # new Vec3 that only compares equal to it.
         return ZERO
     stop_speed = math.sqrt(2.0 * cfg.a_max * dist)
-    desired = to_target.scale(min(cfg.v_max, stop_speed) / dist)
-    return (desired - state.velocity).scale(1.0 / cfg.dt).clamped(cfg.a_max)
+    k = min(cfg.v_max, stop_speed) / dist
+    # (to_target*k - velocity) * (1/dt), clamped to a_max
+    inv_dt = 1.0 / cfg.dt
+    cx = (tx * k - v.x) * inv_dt
+    cy = (ty * k - v.y) * inv_dt
+    cz = (tz * k - v.z) * inv_dt
+    n = math.sqrt(cx * cx + cy * cy + cz * cz)
+    if not (n <= cfg.a_max or n == 0.0):
+        k = cfg.a_max / n
+        cx, cy, cz = cx * k, cy * k, cz * k
+    return Vec3(cx, cy, cz)
 
 
 def apply_spoofing(state: KinematicState, offset: Vec3) -> KinematicState:
     """Shift the reported position by ``offset``; true position unchanged."""
-    return replace(state, reported_position=state.position + offset)
+    p = state.position
+    return KinematicState(
+        p, state.velocity, state.acceleration, Vec3(p.x + offset.x, p.y + offset.y, p.z + offset.z)
+    )

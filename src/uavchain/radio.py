@@ -14,6 +14,14 @@ Pure functions over value types.  Conventions:
   ``NodeServiceProfile``.
 * Callers must clamp co-located UAVs to a 1 m separation floor
   (``MIN_LINK_DISTANCE_M``) before evaluating the far-field SNR formula.
+
+``link_capacity`` runs once per message sent, so the distance-free part of
+the link budget, ``tx_power_w * gains * lam * lam``, is computed once per
+``LinkBudgetParams`` and ``4.0 * math.pi`` once per module.  The operation
+order is part of the determinism contract: the SNR is that product over
+``(4.0 * math.pi * distance_m) ** 2 * noise_power_w``, evaluated in exactly
+this order, so every latency and trace hash is bit-identical to the formula
+written out in full (``tests/test_radio.py`` keeps it as the oracle).
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ PROPAGATION_SPEED_M_S = 3.0e8
 
 # Far-field floor: the inverse-square law diverges as separation -> 0.
 MIN_LINK_DISTANCE_M = 1.0
+
+_FOUR_PI = 4.0 * math.pi
 
 
 class ZeroDistance(ValueError):
@@ -51,9 +61,17 @@ class LinkBudgetParams:
     bandwidth_hz: float = 10e6
 
     def __post_init__(self) -> None:
+        for name in ("tx_gain_dbi", "rx_gain_dbi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         for name in ("tx_power_w", "carrier_hz", "noise_power_w", "bandwidth_hz"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
+        # The distance-free numerator of the SNR.  An attribute, not a field,
+        # so fields, equality, hashing and serialization are unchanged.
+        gains = dbi_to_linear(self.tx_gain_dbi) * dbi_to_linear(self.rx_gain_dbi)
+        lam = self.wavelength_m
+        object.__setattr__(self, "_snr_numerator", self.tx_power_w * gains * lam * lam)
 
     @property
     def wavelength_m(self) -> float:
@@ -82,11 +100,7 @@ def snr(params: LinkBudgetParams, distance_m: float) -> float:
     """Received signal-to-noise ratio over a free-space link (linear)."""
     if distance_m <= 0:
         raise ZeroDistance(f"link distance must be > 0, got {distance_m}")
-    gains = dbi_to_linear(params.tx_gain_dbi) * dbi_to_linear(params.rx_gain_dbi)
-    lam = params.wavelength_m
-    numerator = params.tx_power_w * gains * lam * lam
-    denominator = (4.0 * math.pi * distance_m) ** 2 * params.noise_power_w
-    return numerator / denominator
+    return params._snr_numerator / ((_FOUR_PI * distance_m) ** 2 * params.noise_power_w)
 
 
 def capacity(bandwidth_hz: float, snr_ratio: float) -> float:

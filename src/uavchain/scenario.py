@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -138,10 +139,11 @@ class Scenario:
     trace_detail: str = "events"  # "events" | "full"
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ScenarioError("duration must be >= 0")
-        if self.extra_delay_jitter_s < 0:
-            raise ScenarioError("extra_delay_jitter_s must be >= 0")
+        # A NaN duration never ends a run.
+        if not 0 <= self.duration_s < math.inf:
+            raise ScenarioError("duration must be a finite number >= 0")
+        if not 0 <= self.extra_delay_jitter_s < math.inf:
+            raise ScenarioError("extra_delay_jitter_s must be a finite number >= 0")
         if self.trace_detail not in ("events", "full"):
             raise ScenarioError("trace_detail must be 'events' or 'full'")
         for spec in self.fleet.values():

@@ -56,7 +56,7 @@ from .domain import (
     signed_message,
 )
 from .faults import ByzantineStrategy, FaultPlan
-from .mobility import KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
+from .mobility import AreaBounds, KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
 from .scenario import DeployedUav, Scenario, ScenarioError, deploy_fleet
 
@@ -298,13 +298,7 @@ class Simulation:
     def _sample_cluster_waypoint(self, node: SimNode, rng: random.Random) -> Vec3:
         region = node.uav.waypoint_region
         area = self.scenario.area
-        box = replace(
-            area,
-            x_min=region.x_min,
-            x_max=region.x_max,
-            y_min=region.y_min,
-            y_max=region.y_max,
-        )
+        box = AreaBounds(region.x_min, region.x_max, region.y_min, region.y_max, area.z_min, area.z_max)
         return sample_waypoint(rng, box)
 
     def _generate_workload(self) -> None:
@@ -566,10 +560,10 @@ class Simulation:
             node = self.nodes[node_id]
             state = node.kin
             accel = steer_to_waypoint(state, node.waypoint, scn.mobility)
-            if accel == ZERO and state.position.distance_to(node.waypoint) <= scn.mobility.waypoint_arrival_radius:
+            if accel is ZERO:  # arrived: only an arrival returns ZERO itself
                 node.waypoint = self._sample_cluster_waypoint(node, self._mobility_rng)
                 accel = steer_to_waypoint(state, node.waypoint, scn.mobility)
-            state = replace(state, acceleration=accel)
+            state = KinematicState(state.position, state.velocity, accel, state.reported_position)
             state = step(state, scn.mobility)
             node.kin = apply_spoofing(state, active_spoofs.get(node_id, ZERO))
         self._record("mobility_tick")

@@ -1,10 +1,14 @@
+import hashlib
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from uavchain.mobility import (
     DEFAULT_AREA,
+    AreaBounds,
     KinematicState,
     MobilityConfig,
     Vec3,
@@ -16,6 +20,14 @@ from uavchain.mobility import (
 )
 
 CFG = MobilityConfig()
+
+
+def contains(area, p, tol=1e-9):
+    return (
+        area.x_min - tol <= p.x <= area.x_max + tol
+        and area.y_min - tol <= p.y <= area.y_max + tol
+        and area.z_min - tol <= p.z <= area.z_max + tol
+    )
 
 
 def state_at(x, y, z, vx=0.0, vy=0.0, vz=0.0, ax=0.0, ay=0.0, az=0.0):
@@ -76,7 +88,7 @@ class TestStep:
         state = state_at(24_900, 24_900, 480, vx=45, vy=30, vz=20, ax=3, ay=-2, az=1)
         for _ in range(2_000):
             state = step(state, cfg)
-            assert cfg.area.contains(state.position)
+            assert contains(cfg.area, state.position)
 
     def test_exact_kinematics_against_closed_form(self):
         # Well inside the area and below v_max, neither a boundary nor the
@@ -114,7 +126,7 @@ class TestSampleWaypoint:
         rng = random.Random(0)
         for _ in range(500):
             p = sample_waypoint(rng, DEFAULT_AREA)
-            assert DEFAULT_AREA.contains(p)
+            assert contains(DEFAULT_AREA, p)
 
     def test_equal_seeds_equal_sequences(self):
         a, b = random.Random(99), random.Random(99)
@@ -168,8 +180,6 @@ class TestSteerToWaypoint:
         distances = []
         for _ in range(1_000):
             accel = steer_to_waypoint(state, target, cfg)
-            from dataclasses import replace
-
             state = replace(state, acceleration=accel)
             state = step(state, cfg)
             distances.append(state.position.distance_to(target))
@@ -199,3 +209,211 @@ class TestSpoofing:
         stepped = step(state, cfg)
         assert stepped.position == Vec3(510, 500, 100)
         assert stepped.reported_position == Vec3(610, 500, 100)
+
+
+# --- Bit-identity oracle ------------------------------------------------------
+#
+# The Vec3 formulation of the kinematics, kept as the reference the
+# float-level functions in ``uavchain.mobility`` must match bit for bit.
+# ``hits`` counts the branches a case takes, so the random drive below can
+# show that it reaches each of them.
+
+
+def _scale(v, k):
+    return Vec3(v.x * k, v.y * k, v.z * k)
+
+
+def _clamped(v, max_norm, hits, branch):
+    n = v.norm()
+    if n <= max_norm or n == 0.0:
+        return v
+    hits[branch] += 1
+    return _scale(v, max_norm / n)
+
+
+def _oracle_reflect(value, velocity, lo, hi, hits):
+    bounces = 0
+    while value < lo or value > hi:
+        bounces += 1
+        if value < lo:
+            value = 2.0 * lo - value
+            velocity = -velocity
+        else:
+            value = 2.0 * hi - value
+            velocity = -velocity
+    if bounces:
+        hits["reflection"] += 1
+    if bounces > 1:
+        hits["multi_bound"] += 1
+    return value, velocity
+
+
+def oracle_step(state, cfg, hits):
+    dt = cfg.dt
+    pos = state.position + _scale(state.velocity, dt) + _scale(state.acceleration, 0.5 * dt * dt)
+    vel = _clamped(state.velocity + _scale(state.acceleration, dt), cfg.v_max, hits, "speed_clamp")
+    a = cfg.area
+    x, vx = _oracle_reflect(pos.x, vel.x, a.x_min, a.x_max, hits)
+    y, vy = _oracle_reflect(pos.y, vel.y, a.y_min, a.y_max, hits)
+    z, vz = _oracle_reflect(pos.z, vel.z, a.z_min, a.z_max, hits)
+    pos = Vec3(x, y, z)
+    vel = Vec3(vx, vy, vz)
+    offset = state.reported_position - state.position
+    return KinematicState(
+        position=pos,
+        velocity=vel,
+        acceleration=state.acceleration,
+        reported_position=pos + offset,
+    )
+
+
+def oracle_steer(state, waypoint, cfg, hits):
+    to_target = waypoint - state.position
+    dist = to_target.norm()
+    if dist <= cfg.waypoint_arrival_radius:
+        hits["arrival"] += 1
+        return ZERO
+    stop_speed = math.sqrt(2.0 * cfg.a_max * dist)
+    desired = _scale(to_target, min(cfg.v_max, stop_speed) / dist)
+    return _clamped(_scale(desired - state.velocity, 1.0 / cfg.dt), cfg.a_max, hits, "accel_clamp")
+
+
+def oracle_apply_spoofing(state, offset, hits):
+    if offset != ZERO:
+        hits["spoof_offset"] += 1
+    return replace(state, reported_position=state.position + offset)
+
+
+def vec_hex(v):
+    return (v.x.hex(), v.y.hex(), v.z.hex())
+
+
+def state_hex(s):
+    return vec_hex(s.position) + vec_hex(s.velocity) + vec_hex(s.acceleration) + vec_hex(s.reported_position)
+
+
+SMALL_BOX = AreaBounds(0.0, 10.0, -5.0, 5.0, 50.0, 56.0)
+ORACLE_CFGS = (
+    MobilityConfig(v_max=6.0, a_max=2.0, dt=0.5, area=SMALL_BOX, waypoint_arrival_radius=1.5),
+    MobilityConfig(v_max=40.0, a_max=9.0, dt=1.0, area=SMALL_BOX, waypoint_arrival_radius=0.25),
+    MobilityConfig(v_max=3.0, a_max=30.0, dt=0.1, area=SMALL_BOX, waypoint_arrival_radius=4.0),
+)
+
+
+def _component(rng, scale):
+    r = rng.random()
+    if r < 0.05:
+        return 0.0
+    if r < 0.10:
+        return -0.0
+    return rng.uniform(-scale, scale)
+
+
+def _random_vec(rng, scale):
+    return Vec3(_component(rng, scale), _component(rng, scale), _component(rng, scale))
+
+
+def _random_point(rng, area, margin):
+    return Vec3(
+        rng.uniform(area.x_min - margin, area.x_max + margin),
+        rng.uniform(area.y_min - margin, area.y_max + margin),
+        rng.uniform(area.z_min - margin, area.z_max + margin),
+    )
+
+
+def _random_case(rng):
+    cfg = rng.choice(ORACLE_CFGS)
+    area = cfg.area
+    position = _random_point(rng, area, 0.0 if rng.random() < 0.8 else 3.0)
+    if rng.random() < 0.3:
+        waypoint = position + _random_vec(rng, cfg.waypoint_arrival_radius)
+    else:
+        waypoint = _random_point(rng, area, 0.0)
+    velocity = _random_vec(rng, cfg.v_max * rng.choice((0.2, 1.0, 3.0, 12.0)))
+    if rng.random() < 0.02 and waypoint.distance_to(position) > cfg.waypoint_arrival_radius:
+        # The velocity the steering law asks for: a zero correction that is
+        # not an arrival.
+        dist = (waypoint - position).norm()
+        speed = min(cfg.v_max, math.sqrt(2.0 * cfg.a_max * dist))
+        velocity = _scale(waypoint - position, speed / dist)
+    acceleration = _random_vec(rng, cfg.a_max * rng.choice((0.5, 3.0)))
+    reported = position + _random_vec(rng, 20.0) if rng.random() < 0.5 else position
+    offset = ZERO if rng.random() < 0.3 else _random_vec(rng, 50.0)
+    state = KinematicState(position, velocity, acceleration, reported)
+    return cfg, state, waypoint, offset
+
+
+class TestBitIdentityWithVec3Oracle:
+    CASES = 12_000
+
+    def test_random_cases_match_oracle_bit_for_bit(self):
+        rng = random.Random(20_241)
+        hits = Counter()
+        zero_corrections = 0
+        for _ in range(self.CASES):
+            cfg, state, waypoint, offset = _random_case(rng)
+
+            expected = oracle_steer(state, waypoint, cfg, hits)
+            accel = steer_to_waypoint(state, waypoint, cfg)
+            assert vec_hex(accel) == vec_hex(expected)
+            # The tick resamples exactly when the command is the ZERO object:
+            # only an arrival returns it, a zero correction returns a new Vec3.
+            arrived = state.position.distance_to(waypoint) <= cfg.waypoint_arrival_radius
+            assert (accel is ZERO) == arrived
+            if not arrived and accel == ZERO:
+                zero_corrections += 1
+
+            assert state_hex(step(state, cfg)) == state_hex(oracle_step(state, cfg, hits))
+            assert state_hex(apply_spoofing(state, offset)) == state_hex(
+                oracle_apply_spoofing(state, offset, hits)
+            )
+        for branch in ("reflection", "multi_bound", "speed_clamp", "accel_clamp", "arrival", "spoof_offset"):
+            assert hits[branch] >= 50, (branch, hits)
+        assert zero_corrections > 0
+
+    def test_signed_zeros_survive(self):
+        # 0.0 + -0.0 is 0.0 but -0.0 + -0.0 is -0.0: the sign of a zero is
+        # part of the result, so it must come out of the same operations.
+        state = KinematicState(Vec3(-0.0, 0.0, 50.0), Vec3(-0.0, -0.0, 0.0), Vec3(-0.0, 0.0, -0.0))
+        cfg = MobilityConfig(area=AreaBounds(-1.0, 1.0, -1.0, 1.0, 40.0, 60.0))
+        hits = Counter()
+        assert state_hex(step(state, cfg)) == state_hex(oracle_step(state, cfg, hits))
+        for offset in (ZERO, Vec3(-0.0, -0.0, -0.0)):
+            assert state_hex(apply_spoofing(state, offset)) == state_hex(
+                oracle_apply_spoofing(state, offset, hits)
+            )
+
+
+def trajectory_digest(n_ticks=20_000):
+    """SHA-256 over every float of a long closed-loop run in a small box.
+
+    The loop is the simulator's tick: steer, resample the waypoint on
+    arrival, step, then apply the tick's spoofing offset.
+    """
+    rng = random.Random(77)
+    area = AreaBounds(0.0, 300.0, 0.0, 200.0, 50.0, 120.0)
+    cfg = MobilityConfig(v_max=25.0, a_max=6.0, dt=0.2, area=area, waypoint_arrival_radius=8.0)
+    state = KinematicState(Vec3(150.0, 100.0, 80.0), Vec3(20.0, -20.0, 5.0))
+    waypoint = sample_waypoint(rng, area)
+    offset = ZERO
+    digest = hashlib.sha256()
+    for tick in range(n_ticks):
+        accel = steer_to_waypoint(state, waypoint, cfg)
+        if accel == ZERO and state.position.distance_to(waypoint) <= cfg.waypoint_arrival_radius:
+            waypoint = sample_waypoint(rng, area)
+            accel = steer_to_waypoint(state, waypoint, cfg)
+        state = KinematicState(state.position, state.velocity, accel, state.reported_position)
+        state = step(state, cfg)
+        if tick % 500 == 0:
+            offset = ZERO if offset != ZERO else Vec3(rng.uniform(-90, 90), rng.uniform(-90, 90), 0.0)
+        state = apply_spoofing(state, offset)
+        digest.update(" ".join(state_hex(state) + vec_hex(waypoint)).encode())
+    return digest.hexdigest()
+
+
+# Recorded with the Vec3 implementation, before the float-level rewrite.
+TRAJECTORY_SHA256 = "69825e030f1a002c15b5263e94daf8918ca2aad7aeb7cceede4d6242ca9f8175"
+
+
+def test_long_trajectory_digest_is_pinned():
+    assert trajectory_digest() == TRAJECTORY_SHA256

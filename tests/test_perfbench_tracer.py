@@ -42,5 +42,12 @@ def test_tracer_wraps_entry_points_without_changing_the_run():
     )
     report = json.loads(out.stdout.splitlines()[-1])
     assert report["traced"] == report["untraced"]
-    for name in ("consensus.proposer_for", "consensus.handle_message", "radio.link_capacity", "mobility.step"):
+    for name in (
+        "consensus.proposer_for",
+        "consensus.handle_message",
+        "radio.link_capacity",
+        "mobility.step",
+        "mobility.steer_to_waypoint",
+        "mobility.apply_spoofing",
+    ):
         assert report["calls"][name] > 0, name

@@ -1,15 +1,18 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
 from uavchain.consensus import ProtocolKind
 from uavchain.faults import FaultPlan
+from uavchain.harness import build_desk_scenario, build_hurricane_scenario
 from uavchain.radio import (
+    MIN_LINK_DISTANCE_M,
     LinkBudgetParams,
     NodeServiceProfile,
     PROPAGATION_SPEED_M_S,
+    SPEED_OF_LIGHT_M_S,
     ZeroDistance,
     capacity,
     dbi_to_linear,
@@ -70,6 +73,69 @@ class TestSnr:
         distances = [10.0, 100.0, 1_000.0, 10_000.0, 30_000.0]
         values = [snr(REFERENCE_RADIO, d) for d in distances]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+def oracle_snr(params, distance_m):
+    """The link budget written out in full for every call: the reference
+    the once-per-params constants of ``snr`` must reproduce exactly."""
+    gains = 10.0 ** (params.tx_gain_dbi / 10.0) * 10.0 ** (params.rx_gain_dbi / 10.0)
+    lam = SPEED_OF_LIGHT_M_S / params.carrier_hz
+    numerator = params.tx_power_w * gains * lam * lam
+    denominator = (4.0 * math.pi * distance_m) ** 2 * params.noise_power_w
+    return numerator / denominator
+
+
+def oracle_link_capacity(params, distance_m):
+    return params.bandwidth_hz * math.log2(1.0 + oracle_snr(params, distance_m))
+
+
+def log_sweep(lo, hi, n):
+    return [lo * (hi / lo) ** (i / (n - 1)) for i in range(n)]
+
+
+class TestAgainstFullFormula:
+    SWEEP = log_sweep(MIN_LINK_DISTANCE_M, 50_000.0, 4_001)
+
+    @pytest.mark.parametrize(
+        "params",
+        [LinkBudgetParams(), build_hurricane_scenario().radio, build_desk_scenario().radio],
+        ids=["default", "hurricane", "desk"],
+    )
+    def test_sweep_is_exact(self, params):
+        assert self.SWEEP[0] == MIN_LINK_DISTANCE_M and self.SWEEP[-1] == pytest.approx(50_000.0)
+        for d in self.SWEEP:
+            assert snr(params, d) == oracle_snr(params, d)
+            assert link_capacity(params, d) == oracle_link_capacity(params, d)
+
+    def test_random_params_are_exact(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            params = LinkBudgetParams(
+                tx_power_w=rng.uniform(1e-3, 20.0),
+                tx_gain_dbi=rng.uniform(-5.0, 20.0),
+                rx_gain_dbi=rng.uniform(-5.0, 20.0),
+                carrier_hz=rng.uniform(1e8, 6e9),
+                noise_power_w=rng.uniform(1e-15, 1e-9),
+                bandwidth_hz=rng.uniform(1e5, 1e8),
+            )
+            d = rng.uniform(MIN_LINK_DISTANCE_M, 50_000.0)
+            assert snr(params, d) == oracle_snr(params, d)
+            assert link_capacity(params, d) == oracle_link_capacity(params, d)
+
+    def test_replace_recomputes_the_constants(self):
+        params = replace(build_hurricane_scenario().radio, tx_power_w=3.0, rx_gain_dbi=2.0)
+        assert snr(params, 1234.5) == oracle_snr(params, 1234.5)
+
+    def test_fields_equality_and_repr_unchanged(self):
+        names = [f.name for f in fields(LinkBudgetParams)]
+        assert names == ["tx_power_w", "tx_gain_dbi", "rx_gain_dbi", "carrier_hz", "noise_power_w", "bandwidth_hz"]
+        a, b = LinkBudgetParams(noise_power_w=2e-11), LinkBudgetParams(noise_power_w=2e-11)
+        assert a == b and hash(a) == hash(b) and a != LinkBudgetParams()
+        assert asdict(a) == dict(zip(names, (1.0, 6.0, 6.0, 915e6, 2e-11, 10e6)))
+        assert repr(a) == (
+            "LinkBudgetParams(tx_power_w=1.0, tx_gain_dbi=6.0, rx_gain_dbi=6.0, "
+            "carrier_hz=915000000.0, noise_power_w=2e-11, bandwidth_hz=10000000.0)"
+        )
 
 
 class TestCapacity:

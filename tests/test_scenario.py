@@ -1,12 +1,15 @@
 import json
+import math
 import re
+from dataclasses import fields, replace
 
 import pytest
 
 from uavchain.consensus import Mission
-from uavchain.faults import ByzantineStrategy, FaultPlan
+from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.harness import InvalidOverride, build_desk_scenario, build_hurricane_scenario
-from uavchain.radio import NodeServiceProfile
+from uavchain.mobility import AreaBounds, MobilityConfig, Vec3
+from uavchain.radio import LinkBudgetParams, NodeServiceProfile
 from uavchain.scenario import (
     ScenarioError,
     deploy_fleet,
@@ -268,6 +271,70 @@ class TestRanges:
         for scn in (build_hurricane_scenario(), build_desk_scenario(), mini_scenario(5, tx_rate=0.0)):
             doc = scenario_to_dict(scn)
             assert scenario_to_dict(scenario_from_dict(doc)) == doc
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+
+
+class TestCodeBuiltNonFinite:
+    """Value types built in code reject what a document cannot carry.  Only
+    construction is exercised: a NaN duration never ends a run, and an
+    infinite flood rate never ends junk generation."""
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["duration_s", "extra_delay_jitter_s"])
+    def test_scenario(self, name, bad):
+        with pytest.raises(ScenarioError, match=name.split("_s")[0]):
+            replace(build_hurricane_scenario(), **{name: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", [f.name for f in fields(MobilityConfig) if f.name != "area"])
+    def test_mobility_config(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MobilityConfig(**{name: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("index", range(6))
+    def test_area_bounds(self, index, bad):
+        bounds = [0.0, 100.0, 0.0, 100.0, 50.0, 500.0]
+        bounds[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AreaBounds(*bounds)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", [f.name for f in fields(LinkBudgetParams)])
+    def test_link_budget(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            LinkBudgetParams(**{name: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["start_s", "duration_s", "flood_rate_msgs_per_s"])
+    def test_ddos_window(self, name, bad):
+        args = {"target": 1, "start_s": 0.5, "duration_s": 1.0, "flood_rate_msgs_per_s": 200.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            DdosWindow(**args)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["start_s", "duration_s"])
+    def test_spoof_window_times(self, name, bad):
+        args = {"target": 1, "offset": Vec3(10.0, 0.0, 0.0), "start_s": 0.5, "duration_s": 1.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            SpoofWindow(**args)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("axis", range(3))
+    def test_spoof_window_offset(self, axis, bad):
+        offset = [10.0, 0.0, 0.0]
+        offset[axis] = bad
+        with pytest.raises(ValueError, match="offset must be finite"):
+            SpoofWindow(1, Vec3(*offset), 0.5, 1.0)
+
+    def test_finite_values_still_construct(self):
+        replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
+        MobilityConfig(area=AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4))
+        LinkBudgetParams(tx_gain_dbi=-3.0, rx_gain_dbi=0.0)
+        DdosWindow(1, 0.0, 1e9, 1e6)
+        SpoofWindow(1, Vec3(0.0, -0.0, 1e-300), 0.0, 1e9)
 
 
 class TestOverrides:
