@@ -22,6 +22,7 @@ with delivery staked lightly and rescue/assessment unstaked.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -276,10 +277,10 @@ def compute_metrics(
     queue_stats: Optional[dict[int, dict[str, float]]] = None,
 ) -> MetricsReport:
     """Extract the throughput/latency/ANOVA report from a completed trace."""
-    end_records = trace.by_kind("end")
-    if not end_records:
+    # A completed run's last record is the one `end` record it writes.
+    end = trace.records[-1] if trace.records else None
+    if end is None or end["kind"] != "end":
         raise ValueError("trace has no end record; run incomplete")
-    end = end_records[-1]
     counters = dict(end["counters"])
     duration = end["duration_s"]
 
@@ -429,7 +430,10 @@ def export(
     scenario: Scenario,
     fault_plan: FaultPlan,
 ) -> dict[str, Path]:
-    """Write metrics.csv, groups.csv, anova.csv, events.jsonl, summary.json."""
+    """Write events.jsonl, metrics.csv, groups.csv, anova.csv, summary.json.
+
+    Raises ValueError, with only events.jsonl written, when `report` names a
+    trace hash other than that of `result`'s trace."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -440,6 +444,19 @@ def export(
             "events": out / "events.jsonl",
             "summary": out / "summary.json",
         }
+        # The trace is hashed as it is written, so a report of another run
+        # fails here rather than naming a hash its own events.jsonl lacks.
+        digest = hashlib.sha256()
+        with open(paths["events"], "wb") as fh:
+            for chunk in result.trace.jsonl_chunks():
+                digest.update(chunk)
+                fh.write(chunk)
+        written = digest.hexdigest()
+        if written != report.trace_hash:
+            raise ValueError(
+                f"report trace hash {report.trace_hash} is not the exported trace's "
+                f"{written}: the report and the result are from different runs"
+            )
         key = [getattr(report, name) for name in _KEY]
         write_csv(paths["metrics"], METRICS_COLUMNS, [table_row(report)])
         write_csv(paths["groups"], GROUPS_COLUMNS, [
@@ -448,8 +465,6 @@ def export(
         write_csv(paths["anova"], ANOVA_COLUMNS, (
             [] if report.anova is None else [[*key, *table_row(report.anova)]]
         ))
-        with open(paths["events"], "w", encoding="utf-8") as fh:
-            fh.writelines(result.trace.jsonl_chunks())
         summary = {
             "scenario": scenario_to_dict(scenario),
             "fault_plan": fault_plan_to_dict(fault_plan),

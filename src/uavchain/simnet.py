@@ -28,6 +28,7 @@ import heapq
 import json
 import math
 import random
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -142,7 +143,11 @@ class SimNode:
 
 # One trace line is its record as compact JSON with sorted keys.  The encoder
 # is built once: `json.dumps` with these options builds a new one per call.
-_encode_record = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# A record is built from numbers, strings, lists and dicts and never holds
+# itself, so the encoder keeps no table of the containers it has entered.
+_encode_record = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+).encode
 # Records per piece of serialized trace: enough to amortize each hash update
 # or file write, few enough that the text in hand stays small.
 _CHUNK_RECORDS = 512
@@ -153,22 +158,39 @@ class EventTrace:
 
     def __init__(self) -> None:
         self.records: list[dict[str, Any]] = []
+        # The text the last hash_hex encoded, one zlib stream per chunk, and
+        # how many records it covers; the next jsonl_chunks takes it.
+        self._held: Optional[tuple[int, list[bytes]]] = None
 
     def add(self, record: dict[str, Any]) -> None:
         self.records.append(record)
 
-    def jsonl_chunks(self) -> Iterator[str]:
-        """The trace as JSON lines, each ending in a newline, yielded a chunk
-        of records at a time.  The trace hash and events.jsonl are both these
-        bytes, and neither holds the whole text."""
+    def _encoded_chunks(self) -> Iterator[bytes]:
         records = self.records
         for i in range(0, len(records), _CHUNK_RECORDS):
-            yield "\n".join(map(_encode_record, records[i:i + _CHUNK_RECORDS])) + "\n"
+            text = "\n".join(map(_encode_record, records[i:i + _CHUNK_RECORDS])) + "\n"
+            yield text.encode("utf-8")
+
+    def jsonl_chunks(self) -> Iterator[bytes]:
+        """The trace as UTF-8 JSON lines, each ending in a newline, yielded a
+        chunk of records at a time.  The trace hash and events.jsonl are both
+        these bytes.  The text the last hash_hex encoded is released here,
+        and yielded again if no record was added since, so a hash followed
+        by a write encodes each record once."""
+        held, self._held = self._held, None
+        if held is not None and held[0] == len(self.records):
+            return map(zlib.decompress, held[1])
+        return self._encoded_chunks()
 
     def hash_hex(self) -> str:
+        """SHA-256 of `jsonl_chunks`.  The text is kept, compressed, until
+        the next `jsonl_chunks` takes it."""
         h = hashlib.sha256()
-        for chunk in self.jsonl_chunks():
-            h.update(chunk.encode("utf-8"))
+        held = []
+        for chunk in self._encoded_chunks():
+            h.update(chunk)
+            held.append(zlib.compress(chunk, 1))
+        self._held = (len(self.records), held)
         return h.hexdigest()
 
     def by_kind(self, kind: str) -> list[dict[str, Any]]:

@@ -1,10 +1,12 @@
 import csv
+import hashlib
 import json
 import math
 import random
 
 import pytest
 
+from uavchain import simnet
 from uavchain.consensus import Mission, ProtocolKind
 from uavchain.faults import ByzantineStrategy, FaultPlan
 from uavchain.harness import (
@@ -22,8 +24,21 @@ from uavchain.harness import (
     run_experiment,
 )
 from uavchain.scenario import deploy_fleet
+from uavchain.simnet import EventTrace
 
 from conftest import mini_scenario
+
+
+@pytest.fixture(scope="module")
+def attack_run():
+    """The golden attack run of test_golden_hashes.py: its full trace fills
+    several serializer chunks and part of one more."""
+    scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+    plan = canonical_fault_plan(scn, 2)
+    report, result = run_experiment(scn, ProtocolKind.HYBRID, plan, 2)
+    n = len(result.trace.records)
+    assert n > simnet._CHUNK_RECORDS and n % simnet._CHUNK_RECORDS
+    return scn, plan, report, result
 
 
 class TestNearestRank:
@@ -77,6 +92,16 @@ class TestComputeMetrics:
         report, _ = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 2)
         assert report.throughput_tps > 0
         assert math.isfinite(report.latency.median)
+
+    def test_end_record_must_come_last(self):
+        with pytest.raises(ValueError, match="no end record"):
+            compute_metrics(EventTrace())
+        _, result = run_experiment(mini_scenario(4, duration=0.5), ProtocolKind.HYBRID, FaultPlan(), 1)
+        backwards = EventTrace()
+        for record in reversed(result.trace.records):
+            backwards.add(record)
+        with pytest.raises(ValueError, match="no end record"):
+            compute_metrics(backwards)
 
 
 class TestDegradation:
@@ -172,15 +197,23 @@ class TestExportAndReplay:
         assert summary["trace_hash"] == report.trace_hash
         assert summary["fault_plan"]["drop_prob"] == 0.05
 
-    def test_events_jsonl_matches_trace(self, tmp_path):
-        scn = mini_scenario(4, duration=1.0)
-        plan = FaultPlan()
-        report, result = run_experiment(scn, ProtocolKind.HYBRID, plan, 1)
+    def test_events_jsonl_matches_trace(self, tmp_path, attack_run):
+        scn, plan, report, result = attack_run
         paths = export(report, result, tmp_path / "out", scn, plan)
         lines = paths["events"].read_text().splitlines()
         assert lines == [
             json.dumps(r, sort_keys=True, separators=(",", ":")) for r in result.trace.records
         ]
+
+    def test_export_refuses_another_runs_report(self, tmp_path):
+        scn = mini_scenario(4, duration=1.0)
+        plan = FaultPlan()
+        report_a, _ = run_experiment(scn, ProtocolKind.HYBRID, plan, 1)
+        report_b, result_b = run_experiment(scn, ProtocolKind.HYBRID, plan, 2)
+        assert report_a.trace_hash != report_b.trace_hash
+        with pytest.raises(ValueError, match="different runs"):
+            export(report_a, result_b, tmp_path, scn, plan)
+        assert not (tmp_path / "summary.json").exists()
 
     def test_replay_reproduces_hash(self, tmp_path):
         scn = mini_scenario(5, duration=1.5)
@@ -201,6 +234,57 @@ class TestExportAndReplay:
         paths["summary"].write_text(json.dumps(summary))
         matches, _, _ = replay(paths["summary"])
         assert not matches
+
+
+class TestOneEncodingPass:
+    """A report encodes each trace record once: export writes the text that
+    the trace hash encoded."""
+
+    def test_one_encode_per_record_per_report(self, tmp_path, attack_run, monkeypatch):
+        scn, plan, report, result = attack_run
+        encode, calls = simnet._encode_record, []
+
+        def counting(record):
+            calls.append(1)
+            return encode(record)
+
+        monkeypatch.setattr(simnet, "_encode_record", counting)
+        n = len(result.trace.records)
+        written = []
+        for i in (1, 2):
+            again = compute_metrics(
+                result.trace, protocol=report.protocol, seed=report.seed,
+                queue_stats=result.queue_stats,
+            )
+            paths = export(again, result, tmp_path / f"report{i}", scn, plan)
+            assert len(calls) == i * n
+            assert again.trace_hash == report.trace_hash
+            written.append(paths["events"].read_bytes())
+        assert written[0] == written[1]
+
+    def test_chunks_without_a_prior_hash(self, tmp_path, attack_run):
+        scn, plan, report, result = attack_run
+        fresh = EventTrace()
+        for record in result.trace.records:
+            fresh.add(record)
+        text = b"".join(fresh.jsonl_chunks())
+        assert hashlib.sha256(text).hexdigest() == report.trace_hash
+        paths = export(report, result, tmp_path, scn, plan)
+        assert paths["events"].read_bytes() == text
+
+    def test_record_added_after_hash(self, attack_run):
+        records = attack_run[3].trace.records
+        trace, longer = EventTrace(), EventTrace()
+        for record in records:
+            trace.add(record)
+            longer.add(record)
+        extra = {"t": 3.0, "seq": len(records) + 1, "kind": "extra"}
+        trace.hash_hex()
+        trace.add(extra)
+        longer.add(extra)
+        text = b"".join(trace.jsonl_chunks())
+        assert text == b"".join(longer.jsonl_chunks())
+        assert trace.hash_hex() == longer.hash_hex() == hashlib.sha256(text).hexdigest()
 
 
 class TestBuilders:
