@@ -307,6 +307,16 @@ class ConsensusState:
     ``committed_ids`` is always the set of tx ids in ``committed_chain``, so
     a membership test costs the same however long the chain grows.  Build a
     state at a given chain with ``initial_state``, which fills both.
+
+    ``settled`` is the validator set under which ``_advance`` last ran this
+    state to its fixpoint, or None; a state runs under one
+    ``ProtocolConfig``.  While it ``is`` the caller's set, a Prepare or
+    Commit whose tally stays below ``commit_quorum`` (the least threshold
+    any tally transition reads) enables nothing, so ``handle_message``
+    records it and skips ``_advance``.  Invariant: any write to a state
+    outside a transition must clear ``settled``, as ``on_timeout`` does; a
+    state fresh from ``initial_state`` has none.  The mempool is exempt,
+    since no transition reads it to fire.
     """
 
     node: NodeId
@@ -341,6 +351,8 @@ class ConsensusState:
     invalid_signature_count: int = 0
     unknown_sender_count: int = 0
     invalid_block_count: int = 0
+
+    settled: Optional[ValidatorSet] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "ConsensusState":
         c = ConsensusState.__new__(ConsensusState)
@@ -451,7 +463,16 @@ def handle_message(
         return HandleResult(r, outbound, committed)
 
     _ingest(r, msg)
+    body = msg.body
+    kind = type(body)
+    if r.settled is vset and (kind is Prepare or kind is Commit):
+        # A vote that leaves its tally short of quorum enables nothing in a
+        # settled state (see ``ConsensusState.settled``).
+        votes = r.prepare_votes if kind is Prepare else r.commit_votes
+        if len(votes.get((body.block_hash, body.view), ())) < cfg.commit_quorum(vset.n):
+            return HandleResult(r, outbound, committed)
     _advance(r, vset, cfg, now, outbound, committed)
+    r.settled = vset
     return HandleResult(r, outbound, committed)
 
 
@@ -652,6 +673,7 @@ def on_timeout(
     if now < state.timeout_deadline:
         return state, []
     r = state.copy()
+    r.settled = None
     target = r.view + 1
     r.timeouts_since_commit += 1
     r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)

@@ -13,6 +13,14 @@ seconds); the measured wait is the time between physical arrival and
 service start, which reduces to the analytic queue estimate at steady
 state and to zero on an idle node.
 
+An admitted message waits in its receiver's inbox, a FIFO keyed as the
+event queue is, and only the head of each inbox is on the event queue.  A
+node's deliveries come due in admission order (its service starts never
+decrease, and sequence numbers break ties), so each head holds its inbox's
+least (time, sequence) key and the events run in the same order as they
+would with every delivery on the event queue; the queue's size follows the
+messages in flight and the node count, not the backlogs.
+
 Attack injection: byzantine senders mutate their own outbound traffic
 (equivocation, invalid blocks, silence), DDoS windows pour junk messages
 straight into a target's inbound queue where they burn service capacity
@@ -29,6 +37,7 @@ import json
 import math
 import random
 import zlib
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -135,6 +144,9 @@ class SimNode:
     # The last (height, view) a proposal was armed for; a node's pair only grows.
     armed: Optional[tuple[int, int]] = None
     sync_pending: bool = False
+    # Admitted messages awaiting delivery, in admission order, each as
+    # (deliver_at, seq, wire, src, sent_at); only the head is on the event queue.
+    inbox: deque = field(default_factory=deque)
 
     @property
     def mission(self) -> Mission:
@@ -205,7 +217,12 @@ class RunResult:
     queue_stats: dict[NodeId, dict[str, float]]
 
     def trace_hash(self) -> str:
-        return self.trace.hash_hex()
+        """SHA-256 of the trace's JSON lines, taken as they stream by: unlike
+        `EventTrace.hash_hex`, it keeps no compressed copy for a later write."""
+        h = hashlib.sha256()
+        for chunk in self.trace.jsonl_chunks():
+            h.update(chunk)
+        return h.hexdigest()
 
 
 # A validator that times out this many times in a row suspects it has fallen
@@ -618,17 +635,32 @@ class Simulation:
                 self._record("drop", src=src, dst=dst, reason="queue_full")
             return
         start, _wait = admitted
-        deliver_at = start + self.scenario.service.proc_latency_s
-        self._schedule(deliver_at, Simulation._on_deliver, (dst, wire, src, sent_at))
+        # Keyed as `_schedule` keys it, and queued behind the node's earlier
+        # admissions, whose keys are all smaller.
+        self._seq += 1
+        inbox = node.inbox
+        inbox.append((start + self.scenario.service.proc_latency_s, self._seq, wire, src, sent_at))
+        if len(inbox) == 1:
+            self._schedule_head(dst, inbox)
 
-    def _on_deliver(self, dst: NodeId, wire: Any, src: NodeId, sent_at: float) -> None:
+    def _schedule_head(self, dst: NodeId, inbox: deque) -> None:
+        """Put the delivery at the head of ``dst``'s inbox on the event queue,
+        under the key it was admitted with."""
+        head = inbox[0]
+        heapq.heappush(self._heap, (head[0], head[1], Simulation._on_deliver, (dst,)))
+
+    def _on_deliver(self, dst: NodeId) -> None:
+        node = self.nodes[dst]
+        inbox = node.inbox
+        _deliver_at, _seq, wire, src, sent_at = inbox.popleft()
+        if inbox:
+            self._schedule_head(dst, inbox)
         self.counters["delivered"] += 1
         if self.full_trace:
             self._record(
                 "deliver", src=src, dst=dst, msg=wire.kind(),
                 latency=round(self.now - sent_at, 9),
             )
-        node = self.nodes[dst]
         machine = node.machine
         if machine is None:
             return

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from uavchain import consensus
 from uavchain.consensus import (
     Mission,
     ProposerPolicy,
@@ -428,6 +429,86 @@ class TestHandleMessage:
         assert committed
         assert state.future == {}
         assert state.prepare_votes.get((bytes(32), 0)) == frozenset({2})
+
+
+class TestSettledVotes:
+    """A vote that leaves its tally short of quorum skips ``_advance`` in a
+    settled state.  The oracle is the same call on the same state with its
+    ``settled`` record cleared, which always runs the full fixpoint."""
+
+    @staticmethod
+    def _reordered(vset):
+        # The same ids and stakes with the scores reversed, so every
+        # round-robin slot names another proposer.
+        members = sorted(
+            (ValidatorInfo(node=m.node, score=float(m.node), stake=m.stake) for m in vset.members),
+            key=lambda m: (-m.score, m.node),
+        )
+        return ValidatorSet(members=tuple(members))
+
+    @staticmethod
+    def _messages(rng, vsets):
+        """Height-1 traffic for node 0 in random order: a proposal from each
+        set's proposer of views 0-2, full prepare and commit tallies for a
+        few random (hash, view) keys, scattered votes and view changes."""
+        n = vsets[0].n
+        senders = list(range(1, n)) or [0]  # a lone validator hears itself
+        parent = genesis_block().block_hash
+        msgs, hashes = [], [bytes(32)]  # a hash no proposal carries
+        for view in range(3):
+            for vs in vsets:
+                proposer = CFG.proposer_for(vs, 1, view)
+                tx = Transaction(tx_id=len(hashes), origin=proposer, created_at=0.0)
+                block = make_block(1, parent, proposer, view, [tx])
+                hashes.append(block.block_hash)
+                msgs.append(signed_message(proposer, PrePrepare(block)))
+        for vote in (Prepare, Commit, Prepare, Commit):
+            digest, view = rng.choice(hashes), rng.randrange(3)
+            msgs += [signed_message(s, vote(digest, 1, view)) for s in senders]
+        for _ in range(n):
+            vote = rng.choice((Prepare, Commit))
+            msgs.append(signed_message(rng.choice(senders), vote(rng.choice(hashes), 1, rng.randrange(3))))
+        for new_view in (1, 2):
+            callers = rng.sample(senders, rng.randint(0, len(senders)))
+            msgs += [signed_message(s, ViewChange(new_view, 1)) for s in callers]
+        rng.shuffle(msgs)
+        return msgs
+
+    # n = 1 is the one size at which a node's own view-change vote is a
+    # quorum, so only there can a timeout enable a transition by itself; few
+    # orders show it (a view change, the timeout, then a stale-view vote, all
+    # before any proposal), so that size runs many more of its short trials.
+    @pytest.mark.parametrize("n, trials", [(1, 1500), (4, 60), (7, 60), (20, 60)])
+    def test_results_match_the_full_fixpoint(self, n, trials, monkeypatch):
+        advance, runs = consensus._advance, []
+        monkeypatch.setattr(consensus, "_advance", lambda *args: runs.append(1) or advance(*args))
+        skipped = 0
+        for trial in range(trials):
+            rng = random.Random(trial)
+            vset = vset_of(n)
+            other = self._reordered(vset)
+            assert other.ids == vset.ids and other is not vset
+            msgs = self._messages(rng, (vset, other))
+            switch = rng.randrange(len(msgs))
+            timeout = rng.randrange(len(msgs))
+            state, now = initial_state(0, 0.0, CFG), 0.0
+            for i, msg in enumerate(msgs):
+                now += 0.01
+                if i == switch:
+                    vset = other
+                if i == timeout:
+                    now = max(now, state.timeout_deadline)
+                    state, _ = on_timeout(state, now, CFG)
+                cleared = state.copy()
+                cleared.settled = None
+                before = len(runs)
+                got = handle_message(state, msg, vset, now, CFG)
+                got_runs = len(runs) - before
+                want = handle_message(cleared, msg, vset, now, CFG)
+                assert got == want
+                skipped += got_runs == 0 and len(runs) - before == 1
+                state = got.state
+        assert skipped > 0
 
 
 class TestViewChange:

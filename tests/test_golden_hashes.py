@@ -88,3 +88,11 @@ def test_reelection_with_same_ids_hash():
     result = run(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
     assert not result.trace.by_kind("reelection")
     assert result.trace_hash() == "ee9307be22452d724b1737cd52f2d477cef2c729393c3bf66c6296f8a61fd81b"
+
+
+def test_pbft_fleet_backlog_hash():
+    # All 200 hurricane UAVs validate, and their all-to-all rounds queue up
+    # to about 58k deliveries behind node backlogs, more than any other pin.
+    scn = build_hurricane_scenario({"duration_s": 0.45})
+    result = run(scn, FaultPlan(), ProtocolKind.PURE_PBFT, 1000)
+    assert result.trace_hash() == "54424b5c02580f911dd27677a0bd6fd8d05d4b3a05cf985a905cfd9d2a34e4b0"

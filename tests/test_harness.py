@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import zlib
 
 import pytest
 
@@ -223,6 +224,25 @@ class TestExportAndReplay:
         matches, recorded, recomputed = replay(paths["summary"])
         assert matches
         assert recorded == recomputed == report.trace_hash
+
+    def test_replay_compresses_nothing(self, tmp_path, monkeypatch):
+        # replay checks only the hash, so it keeps no compressed trace text.
+        scn = mini_scenario(5, duration=1.5)
+        plan = FaultPlan()
+        report, result = run_experiment(scn, ProtocolKind.HYBRID, plan, 29)
+        paths = export(report, result, tmp_path / "out", scn, plan)
+        compress, calls = zlib.compress, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "compress", counting)
+        matches, recorded, recomputed = replay(paths["summary"])
+        assert calls == []
+        assert matches and recorded == recomputed == report.trace_hash
+        result.trace.hash_hex()  # the wrapper does see the compressing path
+        assert calls
 
     def test_replay_detects_tampering(self, tmp_path):
         scn = mini_scenario(4, duration=1.0)

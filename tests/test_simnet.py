@@ -1,9 +1,14 @@
 import copy
+import heapq
 import typing
+from collections import Counter, defaultdict
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from uavchain import consensus as cons
+from uavchain import simnet
 from uavchain.consensus import ConsensusState, ProtocolKind
 from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_message
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
@@ -119,6 +124,48 @@ class TestDeliveryLatency:
         assert q.admit(0.0) is not None  # third waits behind two -> backlog 2
         assert q.admit(0.0) is None
         assert q.served == 3
+
+
+class TestInboundQueue:
+    def test_one_queued_delivery_per_node_in_admission_order(self, monkeypatch):
+        # Twenty all-to-all validators at 200 msgs/s each: every round queues
+        # a backlog at every node, and part of it is still queued at the end.
+        scn = mini_scenario(20, duration=1.0, trace_detail="full")
+        scn = replace(scn, service=replace(scn.service, service_rate_msgs_per_s=200.0))
+        sim = Simulation(scn, FaultPlan(), ProtocolKind.PURE_PBFT, 3)
+        deliver, pops = Simulation._on_deliver, []
+
+        def checked_pop(heap):
+            pops.append(1)
+            heads = Counter(entry[3][0] for entry in heap if entry[2] is deliver)
+            assert max(heads.values(), default=0) <= 1
+            for node_id, node in sim.nodes.items():
+                assert heads[node_id] == bool(node.inbox)
+            return heapq.heappop(heap)
+
+        monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=checked_pop))
+
+        admitted = defaultdict(list)
+        qarr = Simulation._on_qarr
+
+        def recording_qarr(self, dst, wire, src, sent_at):
+            inbox = self.nodes[dst].inbox
+            queued = len(inbox)
+            qarr(self, dst, wire, src, sent_at)
+            if len(inbox) > queued:
+                admitted[dst].append((src, wire.kind(), round(inbox[-1][0], 9)))
+
+        monkeypatch.setattr(Simulation, "_on_qarr", recording_qarr)
+        result = sim.run()
+        assert len(pops) > result.counters["delivered"]
+        assert max(len(node.inbox) for node in sim.nodes.values()) >= 10
+        delivered = defaultdict(list)
+        for r in result.trace.by_kind("deliver"):
+            delivered[r["dst"]].append((r["src"], r["msg"], r["t"]))
+        assert delivered.keys() == admitted.keys()
+        for dst, records in delivered.items():
+            assert records == admitted[dst][:len(records)]
+        assert sum(map(len, admitted.values())) > sum(map(len, delivered.values()))
 
 
 class TestAnnotations:
