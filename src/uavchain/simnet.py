@@ -13,13 +13,18 @@ seconds); the measured wait is the time between physical arrival and
 service start, which reduces to the analytic queue estimate at steady
 state and to zero on an idle node.
 
-An admitted message waits in its receiver's inbox, a FIFO keyed as the
-event queue is, and only the head of each inbox is on the event queue.  A
-node's deliveries come due in admission order (its service starts never
-decrease, and sequence numbers break ties), so each head holds its inbox's
-least (time, sequence) key and the events run in the same order as they
-would with every delivery on the event queue; the queue's size follows the
-messages in flight and the node count, not the backlogs.
+A message is priced for all its recipients in one pass, and its arrivals,
+sorted by (time, sequence), wait in one FIFO of which only the head is on
+the event queue.  The arrival handler admits the head, then each next
+arrival while it comes before every other queued event, so arrivals are
+admitted in the order one event per arrival would give them.  An admitted
+message waits in its receiver's inbox, a FIFO keyed as the event queue is,
+and only the head of each inbox is on the event queue.  A node's
+deliveries come due in admission order (its service starts never decrease,
+and sequence numbers break ties), so each head holds its inbox's least
+(time, sequence) key and the events run in the same order as they would
+with every delivery on the event queue.  The queue's size follows the
+messages in flight and the node count, not the recipients or the backlogs.
 
 Attack injection: byzantine senders mutate their own outbound traffic
 (equivocation, invalid blocks, silence), DDoS windows pour junk messages
@@ -102,34 +107,34 @@ class NodeQueue:
     service_rate: float
     max_backlog_msgs: int = 500
     busy_until: float = 0.0
-    pending_starts: list[float] = field(default_factory=list)
+    # Service starts still ahead at the last admission, oldest first.  Arrivals
+    # are admitted in time order and starts never decrease, so the starts an
+    # arrival has passed lead the deque.
+    pending_starts: deque[float] = field(default_factory=deque)
     served: int = 0
     total_wait_s: float = 0.0
     max_wait_s: float = 0.0
     total_len_seen: float = 0.0
 
-    def length_at(self, now: float) -> int:
-        starts = self.pending_starts
-        i = 0
-        while i < len(starts) and starts[i] <= now:
-            i += 1
-        if i:
-            del starts[:i]
-        return len(starts)
-
     def admit(self, now: float) -> Optional[tuple[float, float]]:
         """Enqueue one message; returns (service_start, measured_wait), or
         None when the backlog is full and the message is tail-dropped."""
-        qlen = self.length_at(now)
+        starts = self.pending_starts
+        while starts and starts[0] <= now:
+            starts.popleft()
+        qlen = len(starts)
         if qlen >= self.max_backlog_msgs:
             return None
-        start = max(now, self.busy_until)
+        # Comparisons pick what max(now, busy) and max(max_wait_s, wait) pick.
+        busy = self.busy_until
+        start = busy if busy > now else now
         self.busy_until = start + 1.0 / self.service_rate
         wait = start - now
-        self.pending_starts.append(start)
+        starts.append(start)
         self.served += 1
         self.total_wait_s += wait
-        self.max_wait_s = max(self.max_wait_s, wait)
+        if wait > self.max_wait_s:
+            self.max_wait_s = wait
         self.total_len_seen += qlen
         return start, wait
 
@@ -396,46 +401,65 @@ class Simulation:
             return cp.header_bits + sum(tx.payload_bits for tx in body.block.transactions)
         return cp.vote_bits
 
-    def _distance(self, a: SimNode, b: SimNode) -> float:
-        pa = a.kin.reported_position
-        pb = b.kin.reported_position
-        return max(pa.distance_to(pb), MIN_LINK_DISTANCE_M)
+    def _send(self, wire: Any, src: NodeId, dsts: list[NodeId], bits: int) -> None:
+        """Send one message, ``wire`` of ``bits`` (its `_wire_bits`), from
+        ``src`` to each of ``dsts`` in order, and queue its arrivals as one
+        event.  Each recipient draws loss, then jitter, and takes its
+        sequence number, in ``dsts`` order."""
+        self.counters["sent"] += len(dsts)
+        full_trace = self.full_trace
+        kind = wire.kind() if full_trace else None
+        drop_prob = self.plan.drop_prob
+        draw_drop = self.rng_drop.random
+        max_jitter = self.scenario.extra_delay_jitter_s
+        draw_jitter = self.rng_net.uniform
+        radio = self.scenario.radio
+        nodes = self.nodes
+        here = nodes[src].kin.reported_position
+        now = self.now
+        seq = self._seq
+        arrivals = []
+        for dst in dsts:
+            if full_trace:
+                self._record("send", src=src, dst=dst, msg=kind)
+            if drop_prob > 0 and draw_drop() < drop_prob:
+                self.counters["dropped"] += 1
+                if full_trace:
+                    self._record("drop", src=src, dst=dst, reason="loss")
+                continue
+            distance = here.distance_to(nodes[dst].kin.reported_position)
+            if distance < MIN_LINK_DISTANCE_M:
+                distance = MIN_LINK_DISTANCE_M
+            cap = link_capacity(radio, distance)
+            if cap <= 0.0:
+                self.counters["dropped_zero_capacity"] += 1
+                if full_trace:
+                    self._record("drop", src=src, dst=dst, reason="zero_capacity")
+                continue
+            # Transmission, then propagation, then jitter: the sum's order.
+            t_arr = now + bits / cap + distance / PROPAGATION_SPEED_M_S
+            if max_jitter > 0:
+                t_arr += draw_jitter(0.0, max_jitter)
+            seq += 1
+            arrivals.append((t_arr, seq, dst))
+        self._seq = seq
+        if arrivals:
+            # Latest first, so the earliest pops off the end; keys are unique.
+            arrivals.sort(reverse=True)
+            self._queue_arrivals(wire, src, now, arrivals)
 
-    def _send(self, wire: Any, src: NodeId, dst: NodeId, bits: int) -> None:
-        """Send ``wire`` from ``src`` to ``dst``.  ``bits`` is its `_wire_bits`,
-        which a caller computes once per message, not once per recipient."""
-        self.counters["sent"] += 1
-        if self.full_trace:
-            self._record("send", src=src, dst=dst, msg=wire.kind())
-        if self.plan.drop_prob > 0 and self.rng_drop.random() < self.plan.drop_prob:
-            self.counters["dropped"] += 1
-            if self.full_trace:
-                self._record("drop", src=src, dst=dst, reason="loss")
-            return
-        a, b = self.nodes[src], self.nodes[dst]
-        distance = self._distance(a, b)
-        cap = link_capacity(self.scenario.radio, distance)
-        if cap <= 0.0:
-            self.counters["dropped_zero_capacity"] += 1
-            if self.full_trace:
-                self._record("drop", src=src, dst=dst, reason="zero_capacity")
-            return
-        trans_s = bits / cap
-        prop_s = distance / PROPAGATION_SPEED_M_S
-        jitter = 0.0
-        if self.scenario.extra_delay_jitter_s > 0:
-            jitter = self.rng_net.uniform(0.0, self.scenario.extra_delay_jitter_s)
-        t_arr = self.now + trans_s + prop_s + jitter
-        self._schedule(t_arr, Simulation._on_qarr, (dst, wire, src, self.now))
+    def _queue_arrivals(self, wire: Any, src: NodeId, sent_at: float, arrivals: list) -> None:
+        """Put a message's earliest pending arrival on the event queue, under
+        its own key.  ``arrivals`` holds ``(t_arr, seq, dst)``, latest first."""
+        t_arr, seq, _dst = arrivals[-1]
+        heapq.heappush(self._heap, (t_arr, seq, Simulation._on_arrivals, (wire, src, sent_at, arrivals)))
 
     def _broadcast(self, sender: NodeId, messages: list[ConsensusMessage]) -> None:
         strategy = self.plan.byzantine.get(sender)
         recipients = [v for v in self.vset.ordered_ids if v != sender]
         for msg in messages:
             for out_msg, targets in self._apply_byzantine(sender, msg, strategy, recipients):
-                bits = self._wire_bits(out_msg)
-                for dst in targets:
-                    self._send(out_msg, sender, dst, bits)
+                self._send(out_msg, sender, targets, self._wire_bits(out_msg))
 
     def _apply_byzantine(
         self,
@@ -617,44 +641,56 @@ class Simulation:
             mission=origin.mission.value, bits=tx.payload_bits,
         )
         wire = TxForward(tx)
-        bits = self._wire_bits(wire)
-        for validator in self.vset.ordered_ids if self.vset else ():
-            if validator == tx.origin:
-                machine = self.nodes[validator].machine
-                if machine is not None:
-                    self.nodes[validator].machine = machine.add_transactions([tx])
+        validators = self.vset.ordered_ids if self.vset else ()
+        if tx.origin in validators:
+            machine = self.nodes[tx.origin].machine
+            if machine is not None:
+                self.nodes[tx.origin].machine = machine.add_transactions([tx])
+        self._send(wire, tx.origin, [v for v in validators if v != tx.origin], self._wire_bits(wire))
+
+    def _on_arrivals(self, wire: Any, src: NodeId, sent_at: float, arrivals: list) -> None:
+        """Admit the head of a message's arrivals at its receiver, then each
+        next arrival while it is due before every other event and by the end
+        of the run; otherwise put the next one back on the event queue.  Each
+        arrival is admitted at the point the event order gives it."""
+        heap = self._heap
+        nodes = self.nodes
+        end = self.scenario.duration_s
+        proc_latency = self.scenario.service.proc_latency_s
+        while True:
+            t_arr, _seq, dst = arrivals.pop()
+            self.now = t_arr
+            node = nodes[dst]
+            admitted = node.queue.admit(t_arr)
+            if admitted is None:
+                self.counters["dropped_queue_full"] += 1
+                if self.full_trace:
+                    self._record("drop", src=src, dst=dst, reason="queue_full")
             else:
-                self._send(wire, tx.origin, validator, bits)
-
-    def _on_qarr(self, dst: NodeId, wire: Any, src: NodeId, sent_at: float) -> None:
-        node = self.nodes[dst]
-        admitted = node.queue.admit(self.now)
-        if admitted is None:
-            self.counters["dropped_queue_full"] += 1
-            if self.full_trace:
-                self._record("drop", src=src, dst=dst, reason="queue_full")
-            return
-        start, _wait = admitted
-        # Keyed as `_schedule` keys it, and queued behind the node's earlier
-        # admissions, whose keys are all smaller.
-        self._seq += 1
-        inbox = node.inbox
-        inbox.append((start + self.scenario.service.proc_latency_s, self._seq, wire, src, sent_at))
-        if len(inbox) == 1:
-            self._schedule_head(dst, inbox)
-
-    def _schedule_head(self, dst: NodeId, inbox: deque) -> None:
-        """Put the delivery at the head of ``dst``'s inbox on the event queue,
-        under the key it was admitted with."""
-        head = inbox[0]
-        heapq.heappush(self._heap, (head[0], head[1], Simulation._on_deliver, (dst,)))
+                # The inbox's keys only grow (service starts never decrease,
+                # seq breaks ties), so its head holds its least key.
+                self._seq += 1
+                deliver_at = admitted[0] + proc_latency
+                inbox = node.inbox
+                inbox.append((deliver_at, self._seq, wire, src, sent_at))
+                if len(inbox) == 1:
+                    heapq.heappush(heap, (deliver_at, self._seq, Simulation._on_deliver, (dst,)))
+            if not arrivals:
+                return
+            # Seqs are unique, so tuple order never reaches the third items.
+            nxt = arrivals[-1]
+            if nxt[0] > end or (heap and heap[0] < nxt):
+                # `_queue_arrivals` inlined: this push runs for most arrivals.
+                heapq.heappush(heap, (nxt[0], nxt[1], Simulation._on_arrivals, (wire, src, sent_at, arrivals)))
+                return
 
     def _on_deliver(self, dst: NodeId) -> None:
         node = self.nodes[dst]
         inbox = node.inbox
         _deliver_at, _seq, wire, src, sent_at = inbox.popleft()
         if inbox:
-            self._schedule_head(dst, inbox)
+            head = inbox[0]
+            heapq.heappush(self._heap, (head[0], head[1], Simulation._on_deliver, (dst,)))
         self.counters["delivered"] += 1
         if self.full_trace:
             self._record(
@@ -673,7 +709,8 @@ class Simulation:
     def _on_junk(self, target: NodeId, junk_digest: bytes) -> None:
         self.counters["junk_injected"] += 1
         junk = forged_message(ATTACKER_ID, Prepare(junk_digest, 1, 0))
-        self._schedule(self.now, Simulation._on_qarr, (target, junk, ATTACKER_ID, self.now))
+        self._seq += 1
+        self._queue_arrivals(junk, ATTACKER_ID, self.now, [(self.now, self._seq, target)])
 
     def _on_sync(self, node_id: NodeId) -> None:
         """State transfer: fast-forward a lagging validator to the committed

@@ -71,7 +71,7 @@ def link_deliveries(
     sim.nodes[dst].kin = KinematicState(position=Vec3(distance, 0.0, 100.0))
     msg = signed_message(src, Prepare(b"\x00" * 32, 1, 0))
     for bits in sizes:
-        sim._send(msg, src, dst, bits)
+        sim._send(msg, src, [dst], bits)
     result = sim.run()
     latencies = [r["latency"] for r in result.trace.by_kind("deliver")]
     return latencies, sim.nodes[dst].queue

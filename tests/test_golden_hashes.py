@@ -96,3 +96,39 @@ def test_pbft_fleet_backlog_hash():
     scn = build_hurricane_scenario({"duration_s": 0.45})
     result = run(scn, FaultPlan(), ProtocolKind.PURE_PBFT, 1000)
     assert result.trace_hash() == "54424b5c02580f911dd27677a0bd6fd8d05d4b3a05cf985a905cfd9d2a34e4b0"
+
+
+# Message loss and delay jitter draw from the drop and net substreams once
+# per recipient, in send order; a transport change that reorders those draws
+# or the send/drop records fails these pins.
+LOSSY_JITTERED = {
+    ProtocolKind.HYBRID: "3c877be7bed3969b2171b8cac092d32ceebe161d4f57b5296fb02dff95d0bf8e",
+    ProtocolKind.PURE_PBFT: "a3731719344f12b05f1d65d6e9c839e5efabf980d5c7ae820f3e1623d455e641",
+    ProtocolKind.PURE_DPOS: "f1e6fc96c3d5e46d760a79f88cfd757b2feef3171f67c53d87d143faddf54c69",
+}
+
+
+@pytest.mark.parametrize("protocol", list(LOSSY_JITTERED), ids=lambda p: p.value)
+def test_lossy_jittered_run_hash(protocol):
+    scn = mini_scenario(7, duration=2.0, jitter=0.02, trace_detail="full")
+    result = run(scn, FaultPlan(drop_prob=0.05), protocol, 1)
+    assert result.trace.by_kind("drop")
+    assert result.trace_hash() == LOSSY_JITTERED[protocol]
+
+
+def test_lossy_jittered_attack_hash():
+    # The canonical plan's DDoS junk shares the inbound queues with jittered,
+    # lossy fleet traffic.
+    scn = build_hurricane_scenario({"duration_s": 1.0, "extra_delay_jitter_s": 0.01, "trace_detail": "full"})
+    plan = dataclasses.replace(canonical_fault_plan(scn, 3), drop_prob=0.02)
+    result = run(scn, plan, ProtocolKind.HYBRID, 3)
+    assert result.counters["dropped"] > 0 and result.counters["junk_injected"] > 0
+    assert result.trace_hash() == "6c5fbcba5c042796099b512547365c750dadc505d1cdd8034ef3b3de53117737"
+
+
+def test_lossy_jittered_pbft_fleet_hash():
+    # 200 validators: each broadcast's 199 jittered arrivals interleave with
+    # every other message's, and 2% of them are lost.
+    scn = build_hurricane_scenario({"duration_s": 0.2, "extra_delay_jitter_s": 0.005})
+    result = run(scn, FaultPlan(drop_prob=0.02), ProtocolKind.PURE_PBFT, 5)
+    assert result.trace_hash() == "4f0cedb2b964d184e83a3d4d9ff6c0767c1d7f871fdc9af95f2a0ccb8719a6a9"

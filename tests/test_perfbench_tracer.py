@@ -49,5 +49,6 @@ def test_tracer_wraps_entry_points_without_changing_the_run():
         "mobility.step",
         "mobility.steer_to_waypoint",
         "mobility.apply_spoofing",
+        "simnet.queue.admit",
     ):
         assert report["calls"][name] > 0, name

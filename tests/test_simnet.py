@@ -1,5 +1,6 @@
 import copy
 import heapq
+import random
 import typing
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -12,7 +13,7 @@ from uavchain import simnet
 from uavchain.consensus import ConsensusState, ProtocolKind
 from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_message
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
-from uavchain.harness import canonical_fault_plan
+from uavchain.harness import build_hurricane_scenario, canonical_fault_plan
 from uavchain.mobility import Vec3
 from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
 from uavchain.scenario import ScenarioError
@@ -101,9 +102,9 @@ class TestDeliveryLatency:
         cap = link_capacity(scn.radio, 2000.0)
         msg_bits = round(cap * 0.010)  # 10 ms transmission
         msg = signed_message(a, Prepare(b"\x00" * 32, 1, 0))
-        sim._send(msg, a, b, msg_bits)
-        deliver_events = [e for e in sim._heap if e[2] is Simulation._on_qarr]
-        assert len(deliver_events) == 1
+        sim._send(msg, a, [b], msg_bits)
+        arrivals = [e[3][3] for e in sim._heap if e[2] is Simulation._on_arrivals]
+        assert len(arrivals) == 1 and [dst for _t, _seq, dst in arrivals[0]] == [b]
         sim.run()
         first = [r for r in sim.trace.records if r["kind"] == "deliver"][0]
         expected = 0.010 + 0.0 + 0.010 + 2000.0 / PROPAGATION_SPEED_M_S
@@ -133,32 +134,69 @@ class TestInboundQueue:
         scn = mini_scenario(20, duration=1.0, trace_detail="full")
         scn = replace(scn, service=replace(scn.service, service_rate_msgs_per_s=200.0))
         sim = Simulation(scn, FaultPlan(), ProtocolKind.PURE_PBFT, 3)
-        deliver, pops = Simulation._on_deliver, []
+        deliver, arrive = Simulation._on_deliver, Simulation._on_arrivals
+        # Every message's arrivals as first queued, by the identity of their
+        # list; holding the lists keeps the identities unique.
+        messages = {}
+        popped = Counter()
 
         def checked_pop(heap):
-            pops.append(1)
             heads = Counter(entry[3][0] for entry in heap if entry[2] is deliver)
-            assert max(heads.values(), default=0) <= 1
             for node_id, node in sim.nodes.items():
                 assert heads[node_id] == bool(node.inbox)
-            return heapq.heappop(heap)
+            entries = Counter()
+            for entry in heap:
+                if entry[2] is arrive:
+                    pending = entry[3][3]
+                    entries[id(pending)] += 1
+                    assert entry[:2] == pending[-1][:2]
+                    assert pending == sorted(pending, reverse=True)
+            for _wire, _src, pending, _created in messages.values():
+                assert entries[id(pending)] == bool(pending)
+            entry = heapq.heappop(heap)
+            popped[entry[2]] += 1
+            return entry
 
         monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=checked_pop))
 
-        admitted = defaultdict(list)
-        qarr = Simulation._on_qarr
+        queue_arrivals = Simulation._queue_arrivals
 
-        def recording_qarr(self, dst, wire, src, sent_at):
-            inbox = self.nodes[dst].inbox
-            queued = len(inbox)
-            qarr(self, dst, wire, src, sent_at)
-            if len(inbox) > queued:
-                admitted[dst].append((src, wire.kind(), round(inbox[-1][0], 9)))
+        def capturing(self, wire, src, sent_at, arrivals):
+            if id(arrivals) not in messages:
+                messages[id(arrivals)] = (wire, src, arrivals, list(arrivals))
+            queue_arrivals(self, wire, src, sent_at, arrivals)
 
-        monkeypatch.setattr(Simulation, "_on_qarr", recording_qarr)
+        monkeypatch.setattr(Simulation, "_queue_arrivals", capturing)
+
+        owner = {id(node.queue): node_id for node_id, node in sim.nodes.items()}
+        admit, admits = NodeQueue.admit, []
+
+        def recording_admit(queue, now):
+            result = admit(queue, now)
+            admits.append((now, owner[id(queue)], result))
+            return result
+
+        monkeypatch.setattr(NodeQueue, "admit", recording_admit)
         result = sim.run()
-        assert len(pops) > result.counters["delivered"]
+
+        # Every arrival due by the end is admitted once, in (t_arr, seq) order.
+        expected = sorted(
+            (t_arr, seq, dst, wire, src)
+            for wire, src, _pending, created in messages.values()
+            for t_arr, seq, dst in created
+            if t_arr <= scn.duration_s
+        )
+        assert [(now, dst) for now, dst, _ in admits] == [(t, dst) for t, _seq, dst, _w, _s in expected]
+        # Some arrivals were admitted without an event-queue round trip.
+        assert popped[arrive] < len(admits)
+        assert sum(popped.values()) > result.counters["delivered"]
         assert max(len(node.inbox) for node in sim.nodes.values()) >= 10
+
+        proc = scn.service.proc_latency_s
+        admitted = defaultdict(list)
+        for (_now, dst, outcome), (_t, _seq, _dst, wire, src) in zip(admits, expected):
+            if outcome is not None:
+                admitted[dst].append((src, wire.kind(), round(outcome[0] + proc, 9)))
         delivered = defaultdict(list)
         for r in result.trace.by_kind("deliver"):
             delivered[r["dst"]].append((r["src"], r["msg"], r["t"]))
@@ -166,6 +204,78 @@ class TestInboundQueue:
         for dst, records in delivered.items():
             assert records == admitted[dst][:len(records)]
         assert sum(map(len, admitted.values())) > sum(map(len, delivered.values()))
+
+    def test_fleet_pbft_event_queue_follows_messages(self, monkeypatch):
+        # 200 validators broadcast all-to-all and queue deep backlogs; one
+        # entry per message in flight and one per non-empty inbox keep the
+        # event queue small (an entry per arrival would peak at 23,403 here).
+        scn = build_hurricane_scenario({"duration_s": 0.45})
+        sim = Simulation(scn, FaultPlan(), ProtocolKind.PURE_PBFT, 1000)
+        peak = 0
+
+        def tracking_push(heap, entry):
+            nonlocal peak
+            heapq.heappush(heap, entry)
+            peak = max(peak, len(heap))
+
+        monkeypatch.setattr(simnet, "heapq", SimpleNamespace(heappush=tracking_push, heappop=heapq.heappop))
+        result = sim.run()
+        assert result.counters["sent"] > 100_000
+        assert peak < 1_000
+
+
+class _ReferenceQueue:
+    """`NodeQueue` by its definition: the backlog an arrival sees is every
+    service start so far that is still ahead of it."""
+
+    def __init__(self, service_rate, max_backlog_msgs):
+        self.rate, self.cap = service_rate, max_backlog_msgs
+        self.starts = []
+        self.busy_until = 0.0
+        self.served, self.total_wait_s, self.max_wait_s, self.total_len_seen = 0, 0.0, 0.0, 0.0
+
+    def admit(self, now):
+        qlen = sum(1 for s in self.starts if s > now)
+        if qlen >= self.cap:
+            return None
+        start = max(now, self.busy_until)
+        self.busy_until = start + 1.0 / self.rate
+        wait = start - now
+        self.starts.append(start)
+        self.served += 1
+        self.total_wait_s += wait
+        self.max_wait_s = max(self.max_wait_s, wait)
+        self.total_len_seen += qlen
+        return start, wait
+
+
+class TestNodeQueueOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_admit_matches_full_scan(self, seed):
+        rng = random.Random(seed)
+        rate = rng.choice([10.0, 200.0, 2_000.0, 333.3])
+        cap = rng.choice([1, 3, 8, 50])
+        q, ref = NodeQueue(rate, cap), _ReferenceQueue(rate, cap)
+        now, dropped, idle = 0.0, 0, 0
+        for _ in range(400):
+            mode = rng.random()
+            if mode < 0.15:  # a burst past the backlog bound, at one instant
+                times = [now] * (cap + rng.randrange(1, 6))
+            elif mode < 0.3:  # a gap that drains the backlog
+                now += (cap + rng.randrange(1, 4)) / rate
+                times = [now]
+            else:
+                now += rng.expovariate(rate * rng.choice([0.5, 1.0, 2.0]))
+                times = [now]
+            for t in times:
+                got = q.admit(t)
+                assert got == ref.admit(t)
+                dropped += got is None
+                idle += got is not None and got[1] == 0.0
+        assert dropped > 0 and idle > 0
+        assert (q.served, q.total_wait_s, q.max_wait_s, q.total_len_seen, q.busy_until) == (
+            ref.served, ref.total_wait_s, ref.max_wait_s, ref.total_len_seen, ref.busy_until
+        )
 
 
 class TestAnnotations:
