@@ -250,7 +250,6 @@ class ProtocolConfig:
     timeout_s: float = 0.5
     timeout_backoff: float = 2.0
     max_txs_per_block: int = 16
-    optimistic_fast_path: bool = False
     seed: int = 0
 
     def proposer_for(self, vset: ValidatorSet, height: int, view: int) -> NodeId:
@@ -346,7 +345,6 @@ class ConsensusState:
 
     timeout_deadline: float = 0.0
     timeouts_since_commit: int = 0
-    observed_fault: bool = False
 
     invalid_signature_count: int = 0
     unknown_sender_count: int = 0
@@ -483,7 +481,6 @@ def _ingest(r: ConsensusState, msg: ConsensusMessage) -> None:
         block = body.block
         if not block_is_valid(block, r.tip.block_hash, r.height):
             r.invalid_block_count += 1
-            r.observed_fault = True
             return
         # Proposals are attributed to the broadcasting sender: a new proposer
         # may relay a locked block verbatim, so block.proposer (its original
@@ -612,15 +609,6 @@ def _advance(
         if _commit_on_quorum(r, r.commit_votes, quorum, now, cfg, committed):
             changed = True
             continue
-
-        # Optimistic fast path: commit on the proposer's signature alone
-        # while no validation fault has ever been observed.
-        if cfg.optimistic_fast_path and not r.observed_fault:
-            digest = _candidate_hash(r, vset, cfg)
-            if digest is not None:
-                _apply_commit(r, r.blocks[digest], now, cfg, committed)
-                changed = True
-                continue
 
         if _prepare_vote(r, vset, cfg, outbound):
             changed = True

@@ -168,7 +168,6 @@ _FLAT_OVERRIDES = {
     "timeout_s": ("consensus", "timeout_s"),
     "max_txs_per_block": ("consensus", "max_txs_per_block"),
     "min_block_interval_s": ("consensus", "min_block_interval_s"),
-    "optimistic_fast_path": ("consensus", "optimistic_fast_path"),
     "noise_power_w": ("radio", "noise_power_w"),
     "bandwidth_hz": ("radio", "bandwidth_hz"),
 }
@@ -468,10 +467,7 @@ def export(
         summary = {
             "scenario": scenario_to_dict(scenario),
             "fault_plan": fault_plan_to_dict(fault_plan),
-            "protocol": report.protocol,
-            "seed": report.seed,
             "metrics": {k: v for k, v in _field_values(report).items() if v is not None},
-            "trace_hash": report.trace_hash,
         }
         with open(paths["summary"], "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=_field_values)
@@ -489,9 +485,10 @@ def replay(summary_path: str | Path) -> tuple[bool, str, str]:
         summary = json.load(fh)
     scenario = scenario_from_dict(summary["scenario"])
     plan = fault_plan_from_dict(summary["fault_plan"])
-    protocol = ProtocolKind(summary["protocol"])
-    seed = int(summary["seed"])
+    metrics = summary["metrics"]
+    protocol = ProtocolKind(metrics["protocol"])
+    seed = int(metrics["seed"])
     result = run_simulation(scenario, plan, protocol, seed, enforce_tolerance=False)
-    recorded = summary["trace_hash"]
+    recorded = metrics["trace_hash"]
     recomputed = result.trace_hash()
     return recomputed == recorded, recorded, recomputed

@@ -82,7 +82,6 @@ class ConsensusParams:
     max_txs_per_block: int = 16
     min_block_interval_s: float = 0.025
     reelect_every_blocks: int = 50
-    optimistic_fast_path: bool = False
     vote_bits: int = 1024
     header_bits: int = 2048
 
@@ -110,7 +109,6 @@ class ConsensusParams:
             timeout_s=self.timeout_s,
             timeout_backoff=self.timeout_backoff,
             max_txs_per_block=self.max_txs_per_block,
-            optimistic_fast_path=self.optimistic_fast_path,
             seed=seed,
         )
 
@@ -211,7 +209,7 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
 #
 # A section holds the fields of one dataclass: a key must name a field, a
 # field without a default is required, and a value must have the field's
-# type.  bool, int and str take exactly that JSON type, float takes any
+# type.  int and str take exactly that JSON type, float takes any
 # finite number, an enum takes its value, a flat dataclass (Region, AreaBounds,
 # ScoreWeights, Vec3) a list of its fields, and a tuple of dataclasses a list
 # of sections.
@@ -220,7 +218,7 @@ _SECTIONS = {"geometry", "fleet", "radio", "mobility", "consensus", "workload", 
 # Scenario fields with sections of their own; the rest of Scenario sits in
 # `run`, next to the fields of NodeServiceProfile.
 _NESTED = ("area", "fleet", "radio", "mobility", "service", "consensus", "workload")
-_SCALARS = (float, int, bool, str)
+_SCALARS = (float, int, str)
 _Converter = Callable[[Any, str, str], Any]
 
 

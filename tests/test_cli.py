@@ -76,7 +76,7 @@ class TestReplay:
         main(["simulate", "--scenario", str(scenario_path), "--seed", "9", "--out", str(out)])
         summary_path = out / "summary.json"
         summary = json.loads(summary_path.read_text())
-        summary["trace_hash"] = "f" * 64
+        summary["metrics"]["trace_hash"] = "f" * 64
         summary_path.write_text(json.dumps(summary))
         code = main(["replay", "--summary", str(summary_path)])
         assert code == 1

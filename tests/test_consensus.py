@@ -729,33 +729,45 @@ class TestHistoryUpdate:
         assert update_history(p, 0.0).history == pytest.approx(0.45)
 
 
-class TestFastPath:
-    def test_commits_on_proposal_when_clean(self):
-        cfg = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN, optimistic_fast_path=True)
+class TestDoubleSigningProposer:
+    def test_one_block_commits_per_height(self):
+        # The height-1 proposer signs two valid blocks, sends each to one
+        # part of the honest nodes, and prepares and commits both.  Over
+        # seeded delivery orders the honest nodes commit one block at
+        # height 1.  The larger part reaches a quorum with the proposer's
+        # votes, so a schedule that commits none fails too.
+        cfg = CFG
         vset = vset_of(4)
         proposer = cfg.proposer_for(vset, 1, 0)
+        honest = [node for node in range(4) if node != proposer]
         pstate = initial_state(proposer, 0.0, cfg)
-        block = create_block(pstate, 8)
-        node = initial_state((proposer + 1) % 4, 0.0, cfg)
-        node, _, committed = run_messages(
-            node, [signed_message(proposer, PrePrepare(block))], vset, cfg
-        )
-        assert committed
-
-    def test_falls_back_after_observed_fault(self):
-        cfg = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN, optimistic_fast_path=True)
-        vset = vset_of(4)
-        proposer = cfg.proposer_for(vset, 1, 0)
-        node = initial_state((proposer + 1) % 4, 0.0, cfg)
-        bad = make_block(1, bytes(32), proposer, 0, ())
-        node, _, _ = run_messages(node, [signed_message(proposer, PrePrepare(bad))], vset, cfg)
-        assert node.observed_fault
-        good = create_block(initial_state(proposer, 0.0, cfg), 8)
-        node, out, committed = run_messages(
-            node, [signed_message(proposer, PrePrepare(good))], vset, cfg
-        )
-        assert not committed  # back to the three-phase path
-        assert any(isinstance(m.body, Prepare) for m in out)
+        blocks = [
+            create_block(pstate.add_transactions([Transaction(tx_id=tx, origin=proposer, created_at=0.0)]), 8)
+            for tx in (1, 2)
+        ]
+        assert blocks[0].block_hash != blocks[1].block_hash
+        votes = [
+            signed_message(proposer, vote(block.block_hash, 1, 0))
+            for block in blocks for vote in (Prepare, Commit)
+        ]
+        for seed in range(40):
+            rng = random.Random(seed)
+            order = rng.sample(honest, len(honest))
+            cut = rng.randint(1, len(honest) - 1)
+            in_flight = [
+                (node, signed_message(proposer, PrePrepare(block)))
+                for part, block in zip((order[:cut], order[cut:]), blocks) for node in part
+            ]
+            in_flight += [(node, msg) for node in honest for msg in votes]
+            states = {node: initial_state(node, 0.0, cfg) for node in honest}
+            committed = set()
+            while in_flight:
+                node, msg = in_flight.pop(rng.randrange(len(in_flight)))
+                result = handle_message(states[node], msg, vset, 0.0, cfg)
+                states[node] = result.state
+                in_flight += [(other, out) for out in result.outbound for other in honest if other != node]
+                committed |= {block.block_hash for block in result.committed if block.height == 1}
+            assert len(committed) == 1, f"seed {seed}: {len(committed)} blocks committed at height 1"
 
 
 class TestSubstreams:

@@ -42,21 +42,23 @@ SCENARIOS = {
 # name -> (scenario document, canonical_fault_plan(scenario, 2) document)
 PINS = {
     "hurricane": (
-        "c2ea99359a9ba09da7c664bca0b6ef6deaaee367ccf62b21ebf89ce3e204bc2f",
+        "940ea1e5e38e463108771d5d8c329efc1bfcca0b320a76e8b066def680d0f2a6",
         "28914594c9e68a4e001f20b629d99e22ddc09148fe34a8bf7163d628ca65e867",
     ),
     "desk": (
-        "8f51b87c16eae6426d4771b149c02a220c764728af5fa2d195ff71aab55b50bc",
+        "dc3f342b69aeec84de4ae9f039c0ece026b87170549ff69735ba1fbe58cec749",
         "f6e8ab368cfd8b39f07d1401dd891659681ae8b75c6551956d063fe0c2ab666a",
     ),
     "mini": (
-        "5863b57ac57cd6fb2ac8441dae5be31c9e0fbbd47fbfacf37d4b4c5ef04a56e6",
+        "827f8e264b0d292e68380e00cf6f76991109ee19be042bc492da648b2ff3f38c",
         "3a1e70b213c7cb1b4741ffba848afbf9c06513d4a1616b713919261dc8c1daf4",
     ),
 }
 
 # Exported from `mini_scenario(7, duration=1.0)` with canonical_fault_plan(scn, 3),
-# hybrid, seed 3.
+# hybrid, seed 3, in the older layout that also wrote protocol, seed and
+# trace_hash at the top level.  Its `consensus.optimistic_fast_path: false`,
+# a key since removed, was deleted by hand, as README's migration note says.
 SUMMARY = Path(__file__).parent / "fixtures" / "summary_mini_canonical.json"
 
 
@@ -115,7 +117,7 @@ EXPORT_PINS = {
             "0d2439645c86f98fed72e6e1315c6871484e7d3deb227d9bc971c151e2375e6a",
             "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
             "6125da8685d55b9d575455dbe92ce1bdd482f76e7df5fed88c763e47fdce105d",
-            "ba72a61a395108d02cf360d3f756a9e175507032725ee7149f31256aaf076072",
+            "3f267db7949606685d1a65bd1a7d542d330b7279140bbdc15a9584b0d6f50883",
         ),
     ),
     "empty": (
@@ -125,7 +127,7 @@ EXPORT_PINS = {
             "c28b6034798f58633352d728aace07205369e03d0cfd73057f71df807e369a03",
             "997cf4e3c1497dc6630c29113545a9d168a1c669a04c4b6de8e6aa58e2b8884b",
             "f1afd0c6116ea2e5bfe6343062499cf83b0d3b4a5476966ed9baaaa7cf07a08f",
-            "9ed2ca0f8beb7555cdc20ce9119dd30e1a35b582ded5a0342d47db6f36d10a9b",
+            "82d8ce70ca3b5c15ab6b166b811ad40de38b535997f2fb1bc0d0643e20d8617c",
         ),
     ),
     "anova": (
@@ -135,7 +137,7 @@ EXPORT_PINS = {
             "5b8a4cdb36175a769ef4816b8d2e9475ae9b3a2a251df2407835c3af852625fa",
             "5eb44875bacd32f329b6c4b099e40a6bd9787d28b113ef602f7ac276d7722dcf",
             "382752192bb630ea459496c3c397e1bdffe1e30a86192a19a56e847ef7ffc769",
-            "15ed97816a62431536e3eb908a88cf1f886a28647155e9035cbc189bf4f3b9b3",
+            "b696cc8b319fd1c781270c7b4288fb07c44ab824e9061074f001f59f70e103c7",
         ),
     ),
 }
@@ -161,5 +163,5 @@ def test_events_jsonl_is_the_hashed_trace(tmp_path):
     paths = export(report, result, tmp_path, scn, plan)
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     events_hash = hashlib.sha256(paths["events"].read_bytes()).hexdigest()
-    assert events_hash == report.trace_hash == summary["trace_hash"]
+    assert events_hash == report.trace_hash == summary["metrics"]["trace_hash"]
     assert events_hash == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"

@@ -195,7 +195,7 @@ class TestExportAndReplay:
             summary = json.load(fh)
         assert summary["metrics"]["throughput_tps"] == report.throughput_tps
         assert summary["metrics"]["latency"]["median"] == report.latency.median
-        assert summary["trace_hash"] == report.trace_hash
+        assert summary["metrics"]["trace_hash"] == report.trace_hash
         assert summary["fault_plan"]["drop_prob"] == 0.05
 
     def test_events_jsonl_matches_trace(self, tmp_path, attack_run):
@@ -250,7 +250,7 @@ class TestExportAndReplay:
         report, result = run_experiment(scn, ProtocolKind.HYBRID, plan, 1)
         paths = export(report, result, tmp_path / "out", scn, plan)
         summary = json.loads(paths["summary"].read_text())
-        summary["trace_hash"] = "0" * 64
+        summary["metrics"]["trace_hash"] = "0" * 64
         paths["summary"].write_text(json.dumps(summary))
         matches, _, _ = replay(paths["summary"])
         assert not matches

@@ -58,10 +58,12 @@ class TestValidation:
             scenario_from_dict(doc)
 
     def test_unknown_key_in_section_rejected(self):
-        doc = scenario_to_dict(build_hurricane_scenario())
-        doc["radio"]["warp_drive"] = 9
-        with pytest.raises(ScenarioError, match="warp_drive"):
-            scenario_from_dict(doc)
+        # A removed option's key fails too, rather than being ignored.
+        for section, key in (("radio", "warp_drive"), ("consensus", "optimistic_fast_path")):
+            doc = scenario_to_dict(build_hurricane_scenario())
+            doc[section][key] = False
+            with pytest.raises(ScenarioError, match=rf"unknown key\(s\) in {section}: \['{key}'\]"):
+                scenario_from_dict(doc)
 
     def test_missing_section_rejected(self):
         doc = scenario_to_dict(build_hurricane_scenario())
@@ -136,9 +138,6 @@ class TestMalformedValues:
             ("geometry.area", [0.0, 25_000.0, 0.0, 25_000.0, 50.0]),
             ("geometry.area", [0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0, 900.0]),
             ("consensus.weights", [0.2] * 5),
-            # bool("false") is True: a cast would turn the fast path on.
-            ("consensus.optimistic_fast_path", "false"),
-            ("consensus.optimistic_fast_path", 0),
             ("fleet.rescue.count", 2.7),
             ("consensus.n_validators", 12.0),
             ("workload.payload_bits", True),
@@ -356,9 +355,11 @@ class TestOverrides:
             build_hurricane_scenario({"consensus.n_validators": 3})
 
     def test_unknown_override_raises_with_key(self):
-        with pytest.raises(InvalidOverride) as err:
-            build_hurricane_scenario({"propeller_count": 4})
-        assert err.value.key == "propeller_count"
+        # optimistic_fast_path names a removed option.
+        for key in ("propeller_count", "optimistic_fast_path"):
+            with pytest.raises(InvalidOverride) as err:
+                build_hurricane_scenario({key: True})
+            assert err.value.key == key
 
     def test_unknown_dotted_override(self):
         with pytest.raises(InvalidOverride):
