@@ -44,6 +44,7 @@ import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import consensus as cons
@@ -165,6 +166,34 @@ class SimNode:
 _encode_record = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
+# The transport records, nearly all of a full trace, are written by one
+# format string per kind, keyed by kind and field count, with the same
+# bytes: keys in sorted order, numbers by %r (for an int and a finite float,
+# what the encoder writes) and strings as they are (class names and reason
+# literals, none of which needs an escape).
+_LINE_FORMATS = {
+    (kind, len(keys) + 1): (fmt, itemgetter(*keys))
+    for kind, fmt, keys in (
+        ("send", '{"dst":%r,"kind":"send","msg":"%s","seq":%r,"src":%r,"t":%r}',
+         ("dst", "msg", "seq", "src", "t")),
+        ("drop", '{"dst":%r,"kind":"drop","reason":"%s","seq":%r,"src":%r,"t":%r}',
+         ("dst", "reason", "seq", "src", "t")),
+        ("deliver", '{"dst":%r,"kind":"deliver","latency":%r,"msg":"%s","seq":%r,"src":%r,"t":%r}',
+         ("dst", "latency", "msg", "seq", "src", "t")),
+    )
+}
+
+
+def _encode_line(record: dict[str, Any]) -> str:
+    """One trace line: `_encode_record`'s text, by format string where the
+    record's kind and field count have one."""
+    line = _LINE_FORMATS.get((record["kind"], len(record)))
+    if line is None:
+        return _encode_record(record)
+    fmt, fields = line
+    return fmt % fields(record)
+
+
 # Records per piece of serialized trace: enough to amortize each hash update
 # or file write, few enough that the text in hand stays small.
 _CHUNK_RECORDS = 512
@@ -185,7 +214,7 @@ class EventTrace:
     def _encoded_chunks(self) -> Iterator[bytes]:
         records = self.records
         for i in range(0, len(records), _CHUNK_RECORDS):
-            text = "\n".join(map(_encode_record, records[i:i + _CHUNK_RECORDS])) + "\n"
+            text = "\n".join(map(_encode_line, records[i:i + _CHUNK_RECORDS])) + "\n"
             yield text.encode("utf-8")
 
     def jsonl_chunks(self) -> Iterator[bytes]:

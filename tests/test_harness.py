@@ -262,13 +262,13 @@ class TestOneEncodingPass:
 
     def test_one_encode_per_record_per_report(self, tmp_path, attack_run, monkeypatch):
         scn, plan, report, result = attack_run
-        encode, calls = simnet._encode_record, []
+        encode, calls = simnet._encode_line, []
 
         def counting(record):
             calls.append(1)
             return encode(record)
 
-        monkeypatch.setattr(simnet, "_encode_record", counting)
+        monkeypatch.setattr(simnet, "_encode_line", counting)
         n = len(result.trace.records)
         written = []
         for i in (1, 2):
@@ -305,6 +305,68 @@ class TestOneEncodingPass:
         text = b"".join(trace.jsonl_chunks())
         assert text == b"".join(longer.jsonl_chunks())
         assert trace.hash_hex() == longer.hash_hex() == hashlib.sha256(text).hexdigest()
+
+
+def _dumps(record):
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+class TestLineFormats:
+    """The format strings that write send, deliver and drop lines give the
+    generic encoder's bytes."""
+
+    TRANSPORT = {
+        "send": {"t": 0.5, "seq": 7, "kind": "send", "src": 1, "dst": 2, "msg": "Prepare"},
+        "deliver": {
+            "t": 0.5, "seq": 7, "kind": "deliver", "src": 1, "dst": 2, "msg": "TxForward",
+            "latency": 0.001,
+        },
+        "drop": {"t": 0.5, "seq": 7, "kind": "drop", "src": 1, "dst": 2, "reason": "queue_full"},
+    }
+    EDGES = {
+        "1e-07": {"t": 1e-07},
+        "1e16": {"t": 1e16},
+        "5e-324": {"t": 5e-324},
+        "0.1+0.2": {"t": 0.1 + 0.2},
+        "-0.0": {"t": -0.0},
+        "int-t": {"t": 3},
+        "attacker-src": {"src": simnet.ATTACKER_ID},
+    }
+
+    def test_every_record_of_a_run(self, attack_run):
+        events = run_experiment(mini_scenario(7, duration=2.0), ProtocolKind.HYBRID, FaultPlan(), 1)[1]
+        formatted = 0
+        for result in (attack_run[3], events):
+            for record in result.trace.records:
+                assert simnet._encode_line(record) == _dumps(record)
+                formatted += (record["kind"], len(record)) in simnet._LINE_FORMATS
+        assert formatted > len(attack_run[3].trace.records) // 2
+
+    @pytest.mark.parametrize("edge", list(EDGES))
+    @pytest.mark.parametrize("kind", list(TRANSPORT))
+    def test_edge_values(self, kind, edge, monkeypatch):
+        record = {**self.TRANSPORT[kind], **self.EDGES[edge]}
+        if kind == "deliver":
+            record["latency"] = record["t"]
+        expected = _dumps(record)
+
+        def generic(record):
+            raise AssertionError("a transport record reached the generic encoder")
+
+        monkeypatch.setattr(simnet, "_encode_record", generic)
+        assert simnet._encode_line(record) == expected
+
+    def test_extra_field_falls_back(self, monkeypatch):
+        record = {**self.TRANSPORT["send"], "note": "extra"}
+        encode, calls = simnet._encode_record, []
+
+        def counting(record):
+            calls.append(1)
+            return encode(record)
+
+        monkeypatch.setattr(simnet, "_encode_record", counting)
+        assert simnet._encode_line(record) == _dumps(record)
+        assert calls == [1]
 
 
 class TestBuilders:

@@ -145,6 +145,8 @@ class TestMalformedValues:
             ("radio.tx_power_w", "1.0"),
             ("run.trace_detail", ["full"]),
         ],
+        # A list's id names its length, not its position among the cases.
+        ids=lambda v: f"list{len(v)}" if isinstance(v, list) else None,
     )
     def test_malformed_value_rejected(self, path, value):
         doc = scenario_to_dict(build_hurricane_scenario())
