@@ -24,7 +24,6 @@ from .domain import (
     NodeId,
     Signature,
     Transaction,
-    TxKind,
     hash_block,
     sign,
     validate_block,

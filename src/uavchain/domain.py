@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from typing import Iterable, Union
 
@@ -34,28 +33,15 @@ ZERO_DIGEST = bytes(DIGEST_BYTES)
 DEFAULT_PAYLOAD_BITS = 2048
 
 
-class TxKind(Enum):
-    """The four mission-cluster transaction categories."""
-
-    STATUS_REPORT = "status_report"
-    TASK_ASSIGNMENT = "task_assignment"
-    SUPPLY_REQUEST = "supply_request"
-    DAMAGE_REPORT = "damage_report"
-
-
 @dataclass(frozen=True)
 class Transaction:
     tx_id: int
     origin: NodeId
-    created_at: float
     payload_bits: int = DEFAULT_PAYLOAD_BITS
-    kind: TxKind = TxKind.STATUS_REPORT
 
     def __post_init__(self) -> None:
         if self.payload_bits <= 0:
             raise ValueError("payload_bits must be positive")
-        if self.created_at < 0:
-            raise ValueError("created_at must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -269,7 +255,3 @@ def forged_message(claimed_sender: NodeId, body: MessageBody) -> ConsensusMessag
         body=body,
         signature=Signature(signer=claimed_sender, digest=message_digest(body), valid=False),
     )
-
-
-def hex_digest(digest: bytes) -> str:
-    return digest.hex()

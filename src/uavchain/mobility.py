@@ -1,13 +1,16 @@
 """UAV kinematics: random-waypoint motion with velocity/acceleration limits.
 
-State advances by the discrete constant-acceleration update
+State advances under a steering command by the discrete constant-acceleration
+update
 
     position' = position + velocity*dt + 0.5*acceleration*dt^2
     velocity' = velocity + acceleration*dt   (then magnitude-clamped)
 
-with reflection at the area boundaries.  True and reported positions are
-kept separate so GPS-spoofing experiments can shift what the network layer
-sees without touching the physics.
+with reflection at the area boundaries.  The kinematic state is the true
+position and velocity only.  The position the network layer sees is the
+simulator's: each tick it sets a node's reported position to
+``apply_spoofing(position, offset)``, so GPS-spoofing experiments shift what
+the transport prices without touching the physics.
 
 The functions run once per UAV per tick, so they work on plain floats and
 allocate only the value they return.  Their operation order is part of the
@@ -93,12 +96,6 @@ class MobilityConfig:
 class KinematicState:
     position: Vec3
     velocity: Vec3 = ZERO
-    acceleration: Vec3 = ZERO
-    reported_position: Vec3 | None = None
-
-    def __post_init__(self) -> None:
-        if self.reported_position is None:
-            object.__setattr__(self, "reported_position", self.position)
 
 
 def _reflect(value: float, velocity: float, lo: float, hi: float) -> tuple[float, float]:
@@ -113,15 +110,16 @@ def _reflect(value: float, velocity: float, lo: float, hi: float) -> tuple[float
     return value, velocity
 
 
-def step(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
-    """Advance one dt: constant-acceleration update, speed clamp, reflection.
+def step(state: KinematicState, accel: Vec3, cfg: MobilityConfig) -> KinematicState:
+    """Advance one dt under the steering command ``accel``: constant-
+    acceleration update, speed clamp, reflection.
 
-    The true position moves; any spoofing offset on the reported position is
-    carried along unchanged.
+    Only the true state moves; the simulator derives the reported position
+    from it with ``apply_spoofing``.
     """
     dt = cfg.dt
-    p, v, acc = state.position, state.velocity, state.acceleration
-    ax, ay, az = acc.x, acc.y, acc.z
+    p, v = state.position, state.velocity
+    ax, ay, az = accel.x, accel.y, accel.z
     # position + velocity*dt + acceleration*(0.5*dt*dt)
     h = 0.5 * dt * dt
     x = p.x + v.x * dt + ax * h
@@ -141,13 +139,7 @@ def step(state: KinematicState, cfg: MobilityConfig) -> KinematicState:
     y, vy = _reflect(y, vy, a.y_min, a.y_max)
     z, vz = _reflect(z, vz, a.z_min, a.z_max)
 
-    r = state.reported_position
-    return KinematicState(
-        Vec3(x, y, z),
-        Vec3(vx, vy, vz),
-        acc,
-        Vec3(x + (r.x - p.x), y + (r.y - p.y), z + (r.z - p.z)),
-    )
+    return KinematicState(Vec3(x, y, z), Vec3(vx, vy, vz))
 
 
 def sample_waypoint(rng: random.Random, area: AreaBounds) -> Vec3:
@@ -193,9 +185,6 @@ def steer_to_waypoint(state: KinematicState, waypoint: Vec3, cfg: MobilityConfig
     return Vec3(cx, cy, cz)
 
 
-def apply_spoofing(state: KinematicState, offset: Vec3) -> KinematicState:
-    """Shift the reported position by ``offset``; true position unchanged."""
-    p = state.position
-    return KinematicState(
-        p, state.velocity, state.acceleration, Vec3(p.x + offset.x, p.y + offset.y, p.z + offset.z)
-    )
+def apply_spoofing(position: Vec3, offset: Vec3) -> Vec3:
+    """The reported position: the true ``position`` shifted by ``offset``."""
+    return Vec3(position.x + offset.x, position.y + offset.y, position.z + offset.z)

@@ -66,9 +66,7 @@ from .domain import (
     Prepare,
     PrePrepare,
     Transaction,
-    TxKind,
     forged_message,
-    hex_digest,
     signed_message,
 )
 from .faults import ByzantineStrategy, FaultPlan
@@ -78,13 +76,6 @@ from .scenario import DeployedUav, Scenario, ScenarioError, deploy_fleet
 
 # Synthetic sender id used by DDoS junk traffic; never part of any fleet.
 ATTACKER_ID: NodeId = 10**9
-
-_MISSION_TX_KIND = {
-    Mission.CONNECTIVITY: TxKind.STATUS_REPORT,
-    Mission.DELIVERY: TxKind.SUPPLY_REQUEST,
-    Mission.RESCUE: TxKind.TASK_ASSIGNMENT,
-    Mission.ASSESSMENT: TxKind.DAMAGE_REPORT,
-}
 
 
 @dataclass(frozen=True)
@@ -145,6 +136,9 @@ class SimNode:
     uav: DeployedUav
     queue: NodeQueue
     kin: KinematicState
+    # The position the network sees: the true one shifted by any spoofing
+    # offset, set once per mobility tick; the transport prices links from it.
+    reported: Vec3
     machine: Optional[ConsensusState] = None
     waypoint: Vec3 = ZERO
     # The last (height, view) a proposal was armed for; a node's pair only grows.
@@ -316,6 +310,7 @@ class Simulation:
                 uav=uav,
                 queue=NodeQueue(service_rate=scenario.service.service_rate_msgs_per_s),
                 kin=uav.state,
+                reported=uav.state.position,
             )
         planned = {*fault_plan.byzantine, *(w.target for w in (*fault_plan.ddos, *fault_plan.spoof))}
         outside = sorted(planned - self.nodes.keys())
@@ -341,7 +336,6 @@ class Simulation:
         # Chain-level block cadence; proposals respect a global floor.
         self.last_proposal_time: float = -math.inf
         self._failed_proposer_logged: set = set()
-        self._epoch_commits = 0
         self._tx_counter = 0
 
         self._init_waypoints()
@@ -379,17 +373,11 @@ class Simulation:
         rate = self.scenario.workload.tx_rate_per_uav
         if rate <= 0:
             return
+        bits = self.scenario.workload.payload_bits
         for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
             t = rng.expovariate(rate)
             while t < self.scenario.duration_s:
-                tx = Transaction(
-                    tx_id=self._tx_counter,
-                    origin=node_id,
-                    created_at=t,
-                    payload_bits=self.scenario.workload.payload_bits,
-                    kind=_MISSION_TX_KIND[node.mission],
-                )
+                tx = Transaction(tx_id=self._tx_counter, origin=node_id, payload_bits=bits)
                 self._tx_counter += 1
                 self._schedule(t, Simulation._on_tx, (tx,))
                 t += rng.expovariate(rate)
@@ -444,7 +432,7 @@ class Simulation:
         draw_jitter = self.rng_net.uniform
         radio = self.scenario.radio
         nodes = self.nodes
-        here = nodes[src].kin.reported_position
+        here = nodes[src].reported
         now = self.now
         seq = self._seq
         arrivals = []
@@ -456,7 +444,7 @@ class Simulation:
                 if full_trace:
                     self._record("drop", src=src, dst=dst, reason="loss")
                 continue
-            distance = here.distance_to(nodes[dst].kin.reported_position)
+            distance = here.distance_to(nodes[dst].reported)
             if distance < MIN_LINK_DISTANCE_M:
                 distance = MIN_LINK_DISTANCE_M
             cap = link_capacity(radio, distance)
@@ -582,7 +570,7 @@ class Simulation:
             self._schedule_proposer_duty((node_id,))
 
     def _note_commit(self, node_id: NodeId, block: Block) -> None:
-        self._record("commit", node=node_id, height=block.height, hash=hex_digest(block.block_hash))
+        self._record("commit", node=node_id, height=block.height, hash=block.block_hash.hex())
         if block.height not in self.first_commit:
             self.first_commit[block.height] = block
             self.counters["blocks_committed"] += 1
@@ -590,14 +578,12 @@ class Simulation:
             self._record(
                 "block",
                 height=block.height,
-                hash=hex_digest(block.block_hash),
+                hash=block.block_hash.hex(),
                 proposer=block.proposer,
                 view=block.view,
                 txs=[tx.tx_id for tx in block.transactions],
             )
-            self._epoch_commits += 1
-            if self._epoch_commits >= self.scenario.consensus.reelect_every_blocks:
-                self._epoch_commits = 0
+            if len(self.first_commit) % self.scenario.consensus.reelect_every_blocks == 0:
                 self._reelect()
 
     def _note_failed_proposer(self, height: int, view: int) -> None:
@@ -642,7 +628,7 @@ class Simulation:
 
     def _on_mobility(self) -> None:
         scn = self.scenario
-        dt = scn.mobility.dt
+        mob = scn.mobility
         active_spoofs: dict[NodeId, Vec3] = {}
         for window in self.plan.spoof:
             if window.active(self.now):
@@ -650,16 +636,15 @@ class Simulation:
                 active_spoofs[window.target] = prev + window.offset
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            state = node.kin
-            accel = steer_to_waypoint(state, node.waypoint, scn.mobility)
+            kin = node.kin
+            accel = steer_to_waypoint(kin, node.waypoint, mob)
             if accel is ZERO:  # arrived: only an arrival returns ZERO itself
                 node.waypoint = self._sample_cluster_waypoint(node, self._mobility_rng)
-                accel = steer_to_waypoint(state, node.waypoint, scn.mobility)
-            state = KinematicState(state.position, state.velocity, accel, state.reported_position)
-            state = step(state, scn.mobility)
-            node.kin = apply_spoofing(state, active_spoofs.get(node_id, ZERO))
+                accel = steer_to_waypoint(kin, node.waypoint, mob)
+            kin = node.kin = step(kin, accel, mob)
+            node.reported = apply_spoofing(kin.position, active_spoofs.get(node_id, ZERO))
         self._record("mobility_tick")
-        nxt = self.now + dt
+        nxt = self.now + mob.dt
         if nxt < scn.duration_s:
             self._schedule(nxt, Simulation._on_mobility, ())
 
@@ -773,7 +758,7 @@ class Simulation:
         self.last_proposal_time = self.now
         self._record(
             "proposal", node=node_id, height=height, view=view,
-            hash=hex_digest(block.block_hash), txs=len(block.transactions),
+            hash=block.block_hash.hex(), txs=len(block.transactions),
         )
         msg = signed_message(node_id, PrePrepare(block))
         self._broadcast(node_id, [msg])

@@ -67,8 +67,9 @@ def link_deliveries(
     scn = replace(scn, radio=radio, service=service, consensus=replace(scn.consensus, min_block_interval_s=10.0))
     sim = Simulation(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
     src, dst = sorted(sim.nodes)[:2]
-    sim.nodes[src].kin = KinematicState(position=Vec3(0.0, 0.0, 100.0))
-    sim.nodes[dst].kin = KinematicState(position=Vec3(distance, 0.0, 100.0))
+    for node_id, position in ((src, Vec3(0.0, 0.0, 100.0)), (dst, Vec3(distance, 0.0, 100.0))):
+        sim.nodes[node_id].kin = KinematicState(position=position)
+        sim.nodes[node_id].reported = position
     msg = signed_message(src, Prepare(b"\x00" * 32, 1, 0))
     for bits in sizes:
         sim._send(msg, src, [dst], bits)

@@ -216,7 +216,7 @@ class TestQuorum:
 class TestCreateBlock:
     def test_fifo_prefix(self):
         state = initial_state(0, 0.0, CFG)
-        txs = [Transaction(tx_id=i, origin=1, created_at=0.0) for i in range(3)]
+        txs = [Transaction(tx_id=i, origin=1) for i in range(3)]
         state = state.add_transactions(txs)
         block = create_block(state, 10)
         assert block.tx_ids() == (0, 1, 2)
@@ -225,7 +225,7 @@ class TestCreateBlock:
         # Arrival order, not id order; a committed block takes its txs out
         # and leaves the others in order.
         vset = vset_of(4)
-        tx = {i: Transaction(tx_id=i, origin=1, created_at=0.0) for i in (1, 3, 5, 7, 9)}
+        tx = {i: Transaction(tx_id=i, origin=1) for i in (1, 3, 5, 7, 9)}
         state = initial_state(0, 0.0, CFG)
         state = state.add_transactions([tx[7], tx[3], tx[9]])
         state = state.add_transactions([tx[3], tx[1]])
@@ -250,26 +250,26 @@ class TestCreateBlock:
         from uavchain.domain import validate_block
 
         state = initial_state(2, 0.0, CFG)
-        state = state.add_transactions([Transaction(tx_id=5, origin=0, created_at=0.1)])
+        state = state.add_transactions([Transaction(tx_id=5, origin=0)])
         block = create_block(state, 10)
         validate_block(block, state.tip.block_hash, state.height)
 
     def test_max_txs_cap(self):
         state = initial_state(0, 0.0, CFG)
         state = state.add_transactions(
-            [Transaction(tx_id=i, origin=1, created_at=0.0) for i in range(20)]
+            [Transaction(tx_id=i, origin=1) for i in range(20)]
         )
         assert len(create_block(state, 8).transactions) == 8
 
     def test_mempool_dedupe(self):
         state = initial_state(0, 0.0, CFG)
-        tx = Transaction(tx_id=1, origin=0, created_at=0.0)
+        tx = Transaction(tx_id=1, origin=0)
         state = state.add_transactions([tx])
         state = state.add_transactions([tx])
         assert len(state.mempool) == 1
 
     def test_state_at_chain_refuses_committed_tx(self):
-        old, new = (Transaction(tx_id=i, origin=1, created_at=0.0) for i in (4, 5))
+        old, new = (Transaction(tx_id=i, origin=1) for i in (4, 5))
         chain = (genesis_block(), make_block(1, genesis_block().block_hash, 1, 0, [old]))
         state = initial_state(0, 0.0, CFG, chain)
         assert (state.height, state.tip, state.committed_ids) == (2, chain[-1], {4})
@@ -458,7 +458,7 @@ class TestSettledVotes:
         for view in range(3):
             for vs in vsets:
                 proposer = CFG.proposer_for(vs, 1, view)
-                tx = Transaction(tx_id=len(hashes), origin=proposer, created_at=0.0)
+                tx = Transaction(tx_id=len(hashes), origin=proposer)
                 block = make_block(1, parent, proposer, view, [tx])
                 hashes.append(block.block_hash)
                 msgs.append(signed_message(proposer, PrePrepare(block)))
@@ -639,7 +639,7 @@ class TestLocking:
         cfg = CFG
         proposer0 = cfg.proposer_for(vset, 1, 0)
         pstate = initial_state(proposer0, 0.0, cfg)
-        pstate = pstate.add_transactions([Transaction(tx_id=1, origin=0, created_at=0.0)])
+        pstate = pstate.add_transactions([Transaction(tx_id=1, origin=0)])
         block_a = create_block(pstate, 8)
         msg_a = signed_message(proposer0, PrePrepare(block_a))
 
@@ -742,7 +742,7 @@ class TestDoubleSigningProposer:
         honest = [node for node in range(4) if node != proposer]
         pstate = initial_state(proposer, 0.0, cfg)
         blocks = [
-            create_block(pstate.add_transactions([Transaction(tx_id=tx, origin=proposer, created_at=0.0)]), 8)
+            create_block(pstate.add_transactions([Transaction(tx_id=tx, origin=proposer)]), 8)
             for tx in (1, 2)
         ]
         assert blocks[0].block_hash != blocks[1].block_hash

@@ -30,8 +30,8 @@ from uavchain.domain import (
 GOLDEN_BLOCK_HASH = "c032e7f326db00287d966ad62ad5a4ad5906812916073b1eb133a176202456d7"
 
 
-def _tx(tx_id, origin=0, t=0.0):
-    return Transaction(tx_id=tx_id, origin=origin, created_at=t)
+def _tx(tx_id, origin=0):
+    return Transaction(tx_id=tx_id, origin=origin)
 
 
 class TestHashBlock:
@@ -166,6 +166,4 @@ class TestMessages:
 
     def test_transaction_validation(self):
         with pytest.raises(ValueError):
-            Transaction(tx_id=1, origin=0, created_at=0.0, payload_bits=0)
-        with pytest.raises(ValueError):
-            Transaction(tx_id=1, origin=0, created_at=-1.0)
+            Transaction(tx_id=1, origin=0, payload_bits=0)

@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -30,12 +29,8 @@ def contains(area, p, tol=1e-9):
     )
 
 
-def state_at(x, y, z, vx=0.0, vy=0.0, vz=0.0, ax=0.0, ay=0.0, az=0.0):
-    return KinematicState(
-        position=Vec3(x, y, z),
-        velocity=Vec3(vx, vy, vz),
-        acceleration=Vec3(ax, ay, az),
-    )
+def state_at(x, y, z, vx=0.0, vy=0.0, vz=0.0):
+    return KinematicState(position=Vec3(x, y, z), velocity=Vec3(vx, vy, vz))
 
 
 class TestVec3:
@@ -57,37 +52,38 @@ class TestVec3:
 class TestStep:
     def test_constant_velocity(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(0, 0, 100, vx=10), cfg)
+        out = step(state_at(0, 0, 100, vx=10), ZERO, cfg)
         assert out.position == Vec3(10, 0, 100)
 
     def test_quadratic_acceleration_term(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(0, 0, 100, ax=2), cfg)
+        out = step(state_at(0, 0, 100), Vec3(2, 0, 0), cfg)
         assert out.position == Vec3(1, 0, 100)
         assert out.velocity == Vec3(2, 0, 0)
 
     def test_speed_clamped_to_v_max(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(100, 100, 100, vx=49, ax=20), cfg)
+        out = step(state_at(100, 100, 100, vx=49), Vec3(20, 0, 0), cfg)
         assert out.velocity.norm() == pytest.approx(cfg.v_max)
 
     def test_clamp_preserves_direction(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(100, 100, 100, vx=40, vy=40), cfg)
+        out = step(state_at(100, 100, 100, vx=40, vy=40), ZERO, cfg)
         assert out.velocity.x == pytest.approx(out.velocity.y)
 
     def test_boundary_reflection(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(24_999, 100, 100, vx=10), cfg)
+        out = step(state_at(24_999, 100, 100, vx=10), ZERO, cfg)
         assert out.position.x == pytest.approx(2 * 25_000 - 25_009)
         assert out.velocity.x < 0
 
     def test_containment_over_many_steps(self):
         rng = random.Random(3)
         cfg = MobilityConfig(dt=0.5)
-        state = state_at(24_900, 24_900, 480, vx=45, vy=30, vz=20, ax=3, ay=-2, az=1)
+        state = state_at(24_900, 24_900, 480, vx=45, vy=30, vz=20)
+        accel = Vec3(3, -2, 1)
         for _ in range(2_000):
-            state = step(state, cfg)
+            state = step(state, accel, cfg)
             assert contains(cfg.area, state.position)
 
     def test_exact_kinematics_against_closed_form(self):
@@ -96,10 +92,10 @@ class TestStep:
         # p0 + v0*T + a*T^2/2 exactly.
         cfg = MobilityConfig(dt=0.1)
         p0, v0, a = Vec3(12_000.0, 12_000.0, 200.0), Vec3(4.0, 0.5, -1.0), Vec3(0.02, -0.01, 0.005)
-        state = KinematicState(position=p0, velocity=v0, acceleration=a)
+        state = KinematicState(position=p0, velocity=v0)
         n = 1_000
         for _ in range(n):
-            state = step(state, cfg)
+            state = step(state, a, cfg)
         t = n * cfg.dt
         for axis in ("x", "y", "z"):
             expected = (
@@ -114,10 +110,10 @@ class TestStep:
             state = state_at(
                 rng.uniform(0, 25_000), rng.uniform(0, 25_000), rng.uniform(50, 500),
                 vx=rng.uniform(-50, 50), vy=rng.uniform(-50, 50), vz=rng.uniform(-10, 10),
-                ax=rng.uniform(-5, 5), ay=rng.uniform(-5, 5), az=rng.uniform(-2, 2),
             )
+            accel = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-2, 2))
             for _ in range(50):
-                state = step(state, cfg)
+                state = step(state, accel, cfg)
                 assert state.velocity.norm() <= cfg.v_max + 1e-9
 
 
@@ -180,8 +176,7 @@ class TestSteerToWaypoint:
         distances = []
         for _ in range(1_000):
             accel = steer_to_waypoint(state, target, cfg)
-            state = replace(state, acceleration=accel)
-            state = step(state, cfg)
+            state = step(state, accel, cfg)
             distances.append(state.position.distance_to(target))
             if distances[-1] <= cfg.waypoint_arrival_radius:
                 break
@@ -194,21 +189,11 @@ class TestSteerToWaypoint:
 
 class TestSpoofing:
     def test_offset_shifts_reported_only(self):
-        state = state_at(500, 500, 100)
-        spoofed = apply_spoofing(state, Vec3(100, 0, 0))
-        assert spoofed.reported_position == Vec3(600, 500, 100)
-        assert spoofed.position == Vec3(500, 500, 100)
+        assert apply_spoofing(Vec3(500, 500, 100), Vec3(100, 0, 0)) == Vec3(600, 500, 100)
 
     def test_zero_offset_identity(self):
-        state = state_at(500, 500, 100)
-        assert apply_spoofing(state, ZERO).reported_position == state.position
-
-    def test_drift_persists_through_step(self):
-        cfg = MobilityConfig(dt=1.0)
-        state = apply_spoofing(state_at(500, 500, 100, vx=10), Vec3(100, 0, 0))
-        stepped = step(state, cfg)
-        assert stepped.position == Vec3(510, 500, 100)
-        assert stepped.reported_position == Vec3(610, 500, 100)
+        position = Vec3(500, 500, 100)
+        assert apply_spoofing(position, ZERO) == position
 
 
 # --- Bit-identity oracle ------------------------------------------------------
@@ -248,23 +233,15 @@ def _oracle_reflect(value, velocity, lo, hi, hits):
     return value, velocity
 
 
-def oracle_step(state, cfg, hits):
+def oracle_step(state, accel, cfg, hits):
     dt = cfg.dt
-    pos = state.position + _scale(state.velocity, dt) + _scale(state.acceleration, 0.5 * dt * dt)
-    vel = _clamped(state.velocity + _scale(state.acceleration, dt), cfg.v_max, hits, "speed_clamp")
+    pos = state.position + _scale(state.velocity, dt) + _scale(accel, 0.5 * dt * dt)
+    vel = _clamped(state.velocity + _scale(accel, dt), cfg.v_max, hits, "speed_clamp")
     a = cfg.area
     x, vx = _oracle_reflect(pos.x, vel.x, a.x_min, a.x_max, hits)
     y, vy = _oracle_reflect(pos.y, vel.y, a.y_min, a.y_max, hits)
     z, vz = _oracle_reflect(pos.z, vel.z, a.z_min, a.z_max, hits)
-    pos = Vec3(x, y, z)
-    vel = Vec3(vx, vy, vz)
-    offset = state.reported_position - state.position
-    return KinematicState(
-        position=pos,
-        velocity=vel,
-        acceleration=state.acceleration,
-        reported_position=pos + offset,
-    )
+    return KinematicState(position=Vec3(x, y, z), velocity=Vec3(vx, vy, vz))
 
 
 def oracle_steer(state, waypoint, cfg, hits):
@@ -278,10 +255,10 @@ def oracle_steer(state, waypoint, cfg, hits):
     return _clamped(_scale(desired - state.velocity, 1.0 / cfg.dt), cfg.a_max, hits, "accel_clamp")
 
 
-def oracle_apply_spoofing(state, offset, hits):
+def oracle_apply_spoofing(position, offset, hits):
     if offset != ZERO:
         hits["spoof_offset"] += 1
-    return replace(state, reported_position=state.position + offset)
+    return position + offset
 
 
 def vec_hex(v):
@@ -289,7 +266,7 @@ def vec_hex(v):
 
 
 def state_hex(s):
-    return vec_hex(s.position) + vec_hex(s.velocity) + vec_hex(s.acceleration) + vec_hex(s.reported_position)
+    return vec_hex(s.position) + vec_hex(s.velocity)
 
 
 SMALL_BOX = AreaBounds(0.0, 10.0, -5.0, 5.0, 50.0, 56.0)
@@ -336,11 +313,9 @@ def _random_case(rng):
         dist = (waypoint - position).norm()
         speed = min(cfg.v_max, math.sqrt(2.0 * cfg.a_max * dist))
         velocity = _scale(waypoint - position, speed / dist)
-    acceleration = _random_vec(rng, cfg.a_max * rng.choice((0.5, 3.0)))
-    reported = position + _random_vec(rng, 20.0) if rng.random() < 0.5 else position
+    accel = _random_vec(rng, cfg.a_max * rng.choice((0.5, 3.0)))
     offset = ZERO if rng.random() < 0.3 else _random_vec(rng, 50.0)
-    state = KinematicState(position, velocity, acceleration, reported)
-    return cfg, state, waypoint, offset
+    return cfg, KinematicState(position, velocity), accel, waypoint, offset
 
 
 class TestBitIdentityWithVec3Oracle:
@@ -351,21 +326,21 @@ class TestBitIdentityWithVec3Oracle:
         hits = Counter()
         zero_corrections = 0
         for _ in range(self.CASES):
-            cfg, state, waypoint, offset = _random_case(rng)
+            cfg, state, accel, waypoint, offset = _random_case(rng)
 
             expected = oracle_steer(state, waypoint, cfg, hits)
-            accel = steer_to_waypoint(state, waypoint, cfg)
-            assert vec_hex(accel) == vec_hex(expected)
+            command = steer_to_waypoint(state, waypoint, cfg)
+            assert vec_hex(command) == vec_hex(expected)
             # The tick resamples exactly when the command is the ZERO object:
             # only an arrival returns it, a zero correction returns a new Vec3.
             arrived = state.position.distance_to(waypoint) <= cfg.waypoint_arrival_radius
-            assert (accel is ZERO) == arrived
-            if not arrived and accel == ZERO:
+            assert (command is ZERO) == arrived
+            if not arrived and command == ZERO:
                 zero_corrections += 1
 
-            assert state_hex(step(state, cfg)) == state_hex(oracle_step(state, cfg, hits))
-            assert state_hex(apply_spoofing(state, offset)) == state_hex(
-                oracle_apply_spoofing(state, offset, hits)
+            assert state_hex(step(state, accel, cfg)) == state_hex(oracle_step(state, accel, cfg, hits))
+            assert vec_hex(apply_spoofing(state.position, offset)) == vec_hex(
+                oracle_apply_spoofing(state.position, offset, hits)
             )
         for branch in ("reflection", "multi_bound", "speed_clamp", "accel_clamp", "arrival", "spoof_offset"):
             assert hits[branch] >= 50, (branch, hits)
@@ -374,13 +349,14 @@ class TestBitIdentityWithVec3Oracle:
     def test_signed_zeros_survive(self):
         # 0.0 + -0.0 is 0.0 but -0.0 + -0.0 is -0.0: the sign of a zero is
         # part of the result, so it must come out of the same operations.
-        state = KinematicState(Vec3(-0.0, 0.0, 50.0), Vec3(-0.0, -0.0, 0.0), Vec3(-0.0, 0.0, -0.0))
+        state = KinematicState(Vec3(-0.0, 0.0, 50.0), Vec3(-0.0, -0.0, 0.0))
+        accel = Vec3(-0.0, 0.0, -0.0)
         cfg = MobilityConfig(area=AreaBounds(-1.0, 1.0, -1.0, 1.0, 40.0, 60.0))
         hits = Counter()
-        assert state_hex(step(state, cfg)) == state_hex(oracle_step(state, cfg, hits))
+        assert state_hex(step(state, accel, cfg)) == state_hex(oracle_step(state, accel, cfg, hits))
         for offset in (ZERO, Vec3(-0.0, -0.0, -0.0)):
-            assert state_hex(apply_spoofing(state, offset)) == state_hex(
-                oracle_apply_spoofing(state, offset, hits)
+            assert vec_hex(apply_spoofing(state.position, offset)) == vec_hex(
+                oracle_apply_spoofing(state.position, offset, hits)
             )
 
 
@@ -402,12 +378,12 @@ def trajectory_digest(n_ticks=20_000):
         if accel == ZERO and state.position.distance_to(waypoint) <= cfg.waypoint_arrival_radius:
             waypoint = sample_waypoint(rng, area)
             accel = steer_to_waypoint(state, waypoint, cfg)
-        state = KinematicState(state.position, state.velocity, accel, state.reported_position)
-        state = step(state, cfg)
+        state = step(state, accel, cfg)
         if tick % 500 == 0:
             offset = ZERO if offset != ZERO else Vec3(rng.uniform(-90, 90), rng.uniform(-90, 90), 0.0)
-        state = apply_spoofing(state, offset)
-        digest.update(" ".join(state_hex(state) + vec_hex(waypoint)).encode())
+        reported = apply_spoofing(state.position, offset)
+        line = state_hex(state) + vec_hex(accel) + vec_hex(reported) + vec_hex(waypoint)
+        digest.update(" ".join(line).encode())
     return digest.hexdigest()
 
 

@@ -15,7 +15,7 @@ from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_m
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.harness import build_hurricane_scenario, canonical_fault_plan
 from uavchain.mobility import Vec3
-from uavchain.radio import PROPAGATION_SPEED_M_S, link_capacity
+from uavchain.radio import PROPAGATION_SPEED_M_S, NodeServiceProfile, link_capacity
 from uavchain.scenario import ScenarioError
 from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
@@ -97,8 +97,10 @@ class TestDeliveryLatency:
         scn = dreplace(scn, service=NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0))
         sim = Simulation(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
         a, b = sorted(sim.nodes)[:2]
-        sim.nodes[a].kin = dreplace(sim.nodes[a].kin, position=Vec3(0, 0, 100), reported_position=Vec3(0, 0, 100))
-        sim.nodes[b].kin = dreplace(sim.nodes[b].kin, position=Vec3(2000, 0, 100), reported_position=Vec3(2000, 0, 100))
+        sim.nodes[a].kin = dreplace(sim.nodes[a].kin, position=Vec3(0, 0, 100))
+        sim.nodes[a].reported = Vec3(0, 0, 100)
+        sim.nodes[b].kin = dreplace(sim.nodes[b].kin, position=Vec3(2000, 0, 100))
+        sim.nodes[b].reported = Vec3(2000, 0, 100)
         cap = link_capacity(scn.radio, 2000.0)
         msg_bits = round(cap * 0.010)  # 10 ms transmission
         msg = signed_message(a, Prepare(b"\x00" * 32, 1, 0))
@@ -383,7 +385,7 @@ class TestSpoofing:
         sim = Simulation(scn, plan, ProtocolKind.HYBRID, 2)
         sim.run()
         node = sim.nodes[1]
-        drift = node.kin.reported_position - node.kin.position
+        drift = node.reported - node.kin.position
         assert drift.x == pytest.approx(400.0)
         assert drift.y == pytest.approx(0.0)
 
@@ -393,7 +395,45 @@ class TestSpoofing:
         sim = Simulation(scn, plan, ProtocolKind.HYBRID, 2)
         sim.run()
         node = sim.nodes[1]
-        assert node.kin.reported_position == node.kin.position
+        assert node.reported == node.kin.position
+
+    def test_overlapping_windows_add_and_price_the_spoofed_link(self):
+        # Two windows on one node overlap from 0.15 s: the tick at 0.2 s
+        # reports its true position plus both offsets, and a message it sends
+        # at 0.25 s is priced over the spoofed distance (processing +
+        # transmission + propagation, as in the empty-queue composition).
+        scn = mini_scenario(4, duration=0.5, tx_rate=0.0, timeout_s=10.0, trace_detail="full")
+        scn = replace(
+            scn,
+            service=NodeServiceProfile(proc_latency_s=0.010, service_rate_msgs_per_s=1000.0),
+            consensus=replace(scn.consensus, min_block_interval_s=10.0),
+        )
+        first = SpoofWindow(0, Vec3(1500.0, 0.0, 0.0), 0.0, 1.0)
+        second = SpoofWindow(0, Vec3(0.0, 2000.0, 0.0), 0.15, 1.0)
+        sim = Simulation(scn, FaultPlan(spoof=(first, second)), ProtocolKind.HYBRID, 2)
+        msg = signed_message(0, Prepare(b"\x00" * 32, 1, 0))
+        seen = {}
+
+        def send_during_overlap(sim):
+            node, peer = sim.nodes[0], sim.nodes[1]
+            assert node.reported == node.kin.position + (first.offset + second.offset)
+            seen["spoofed"] = node.reported.distance_to(peer.reported)
+            seen["true"] = node.kin.position.distance_to(peer.kin.position)
+            seen["bits"] = round(link_capacity(scn.radio, seen["spoofed"]) * 0.010)  # 10 ms
+            sim._send(msg, 0, [1], seen["bits"])
+
+        sim._schedule(0.25, send_during_overlap, ())
+        sim.run()
+        (deliver,) = [r for r in sim.trace.records if r["kind"] == "deliver"]
+        assert deliver["src"] == 0 and deliver["dst"] == 1 and deliver["t"] > 0.25
+        spoofed = 0.010 + 0.010 + seen["spoofed"] / PROPAGATION_SPEED_M_S
+        honest = (
+            0.010 + seen["bits"] / link_capacity(scn.radio, seen["true"])
+            + seen["true"] / PROPAGATION_SPEED_M_S
+        )
+        assert abs(seen["spoofed"] - seen["true"]) > 500.0
+        assert deliver["latency"] == pytest.approx(spoofed, rel=1e-6)
+        assert deliver["latency"] != pytest.approx(honest, rel=1e-6)
 
     def test_spoofing_never_touches_signatures(self):
         scn = mini_scenario(4, duration=1.5)
