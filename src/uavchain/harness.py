@@ -100,9 +100,8 @@ def build_hurricane_scenario(overrides: Optional[dict[str, Any]] = None) -> Scen
     dotted section paths (``consensus.n_validators``); unknown keys raise
     InvalidOverride.
     """
-    area = AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0)
     scenario = Scenario(
-        area=area,
+        area=AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0),
         # Regions are placed against the reference 4x4 base-station grid
         # (500 m to 5 km on both axes; not simulated): connectivity and
         # delivery within 10 km of a station, rescue >= 20 km from all.
@@ -113,7 +112,7 @@ def build_hurricane_scenario(overrides: Optional[dict[str, Any]] = None) -> Scen
             Mission.ASSESSMENT: ClusterSpec(25, Region(15_000.0, 21_000.0, 15_000.0, 21_000.0), stake=0.0),
         },
         radio=LinkBudgetParams(noise_power_w=2e-11),
-        mobility=MobilityConfig(area=area),
+        mobility=MobilityConfig(),
         service=NodeServiceProfile(proc_latency_s=0.001, service_rate_msgs_per_s=1000.0),
         consensus=ConsensusParams(n_validators=12),
         workload=WorkloadParams(tx_rate_per_uav=1.0, payload_bits=60_000),

@@ -6,11 +6,12 @@ update
     position' = position + velocity*dt + 0.5*acceleration*dt^2
     velocity' = velocity + acceleration*dt   (then magnitude-clamped)
 
-with reflection at the area boundaries.  The kinematic state is the true
-position and velocity only.  The position the network layer sees is the
-simulator's: each tick it sets a node's reported position to
-``apply_spoofing(position, offset)``, so GPS-spoofing experiments shift what
-the transport prices without touching the physics.
+with reflection at the bounds of the scenario's area, which the caller
+passes in.  The kinematic state is the true position and velocity only.
+The position the network layer sees is the simulator's: each tick it sets a
+node's reported position to ``apply_spoofing(position, offset)``, so
+GPS-spoofing experiments shift what the transport prices without touching
+the physics.
 
 The functions run once per UAV per tick, so they work on plain floats and
 allocate only the value they return.  Their operation order is part of the
@@ -74,16 +75,13 @@ class AreaBounds:
             raise ValueError("area bounds must be non-degenerate")
 
 
-# 25 km x 25 km urban area with a [50, 500] m altitude band.
-DEFAULT_AREA = AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0)
-
-
 @dataclass(frozen=True)
 class MobilityConfig:
+    """Motion limits; the area they act in is the scenario's."""
+
     v_max: float = 50.0
     a_max: float = 5.0
     dt: float = 0.1
-    area: AreaBounds = DEFAULT_AREA
     waypoint_arrival_radius: float = 50.0
 
     def __post_init__(self) -> None:
@@ -110,9 +108,9 @@ def _reflect(value: float, velocity: float, lo: float, hi: float) -> tuple[float
     return value, velocity
 
 
-def step(state: KinematicState, accel: Vec3, cfg: MobilityConfig) -> KinematicState:
+def step(state: KinematicState, accel: Vec3, cfg: MobilityConfig, area: AreaBounds) -> KinematicState:
     """Advance one dt under the steering command ``accel``: constant-
-    acceleration update, speed clamp, reflection.
+    acceleration update, speed clamp, reflection at ``area``'s bounds.
 
     Only the true state moves; the simulator derives the reported position
     from it with ``apply_spoofing``.
@@ -134,16 +132,17 @@ def step(state: KinematicState, accel: Vec3, cfg: MobilityConfig) -> KinematicSt
         k = cfg.v_max / n
         vx, vy, vz = vx * k, vy * k, vz * k
 
-    a = cfg.area
-    x, vx = _reflect(x, vx, a.x_min, a.x_max)
-    y, vy = _reflect(y, vy, a.y_min, a.y_max)
-    z, vz = _reflect(z, vz, a.z_min, a.z_max)
+    x, vx = _reflect(x, vx, area.x_min, area.x_max)
+    y, vy = _reflect(y, vy, area.y_min, area.y_max)
+    z, vz = _reflect(z, vz, area.z_min, area.z_max)
 
     return KinematicState(Vec3(x, y, z), Vec3(vx, vy, vz))
 
 
 def sample_waypoint(rng: random.Random, area: AreaBounds) -> Vec3:
-    """Uniform waypoint inside the area; identical seeds yield identical draws."""
+    """Uniform point inside the box, drawn x, then y, then z; identical
+    seeds yield identical draws.  Deployment and waypoint resampling both
+    draw from it."""
     return Vec3(
         rng.uniform(area.x_min, area.x_max),
         rng.uniform(area.y_min, area.y_max),

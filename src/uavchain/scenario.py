@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import random
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
@@ -29,7 +28,7 @@ from .consensus import (
     substream,
 )
 from .faults import ByzantineStrategy, FaultPlan
-from .mobility import AreaBounds, KinematicState, MobilityConfig, Vec3
+from .mobility import AreaBounds, KinematicState, MobilityConfig, sample_waypoint
 from .radio import LinkBudgetParams, NodeServiceProfile
 
 
@@ -49,9 +48,6 @@ class Region:
     def __post_init__(self) -> None:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ScenarioError("region must be non-degenerate")
-
-    def sample(self, rng: random.Random) -> tuple[float, float]:
-        return rng.uniform(self.x_min, self.x_max), rng.uniform(self.y_min, self.y_max)
 
 
 @dataclass(frozen=True)
@@ -164,7 +160,9 @@ class Scenario:
 class DeployedUav:
     profile: UavProfile
     state: KinematicState
-    waypoint_region: Region
+    # The cluster's region at the area's altitude band: where the UAV was
+    # deployed and where its waypoints are drawn.
+    box: AreaBounds
 
 
 def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
@@ -176,15 +174,15 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
     rng = substream(seed, "deploy")
     uavs: list[DeployedUav] = []
     node_id = 0
-    z_lo = scenario.area.z_min
-    z_hi = scenario.area.z_max
+    area = scenario.area
     for mission in Mission:
         spec = scenario.fleet.get(mission)
         if spec is None:
             continue
+        r = spec.region
+        box = AreaBounds(r.x_min, r.x_max, r.y_min, r.y_max, area.z_min, area.z_max)
         for _ in range(spec.count):
-            x, y = spec.region.sample(rng)
-            z = rng.uniform(z_lo, z_hi)
+            position = sample_waypoint(rng, box)
             jitter = 1.0 + spec.stake_jitter * (2.0 * rng.random() - 1.0)
             profile = UavProfile(
                 node=node_id,
@@ -194,13 +192,7 @@ def deploy_fleet(scenario: Scenario, seed: int) -> list[DeployedUav]:
                 history=rng.uniform(0.6, 0.9),
                 mission=mission,
             )
-            uavs.append(
-                DeployedUav(
-                    profile=profile,
-                    state=KinematicState(position=Vec3(x, y, z)),
-                    waypoint_region=spec.region,
-                )
-            )
+            uavs.append(DeployedUav(profile=profile, state=KinematicState(position=position), box=box))
             node_id += 1
     return uavs
 
@@ -322,7 +314,7 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
         "geometry": {"area": _plain(s.area)},
         "fleet": {mission.value: _to_dict(spec) for mission, spec in s.fleet.items()},
         "radio": _to_dict(s.radio),
-        "mobility": _to_dict(s.mobility, skip=("area",)),
+        "mobility": _to_dict(s.mobility),
         "consensus": _to_dict(s.consensus),
         "workload": _to_dict(s.workload),
         "run": {**_to_dict(s, skip=_NESTED), **_to_dict(s.service)},
@@ -332,15 +324,14 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 def scenario_from_dict(d: dict[str, Any]) -> Scenario:
     _check_keys(d, _SECTIONS, "scenario", required=sorted(_SECTIONS))
     _check_keys(d["geometry"], {"area"}, "geometry", required=("area",))
-    area = _converter(AreaBounds)(d["geometry"]["area"], "geometry", "area")
     _check_keys(d["fleet"], {mission.value for mission in Mission}, "fleet")
     run = _object(d["run"], "run")
     service_keys = _schema(NodeServiceProfile)[0]
     return Scenario(
-        area=area,
+        area=_converter(AreaBounds)(d["geometry"]["area"], "geometry", "area"),
         fleet={Mission(name): _build(ClusterSpec, spec, f"fleet.{name}") for name, spec in d["fleet"].items()},
         radio=_build(LinkBudgetParams, d["radio"], "radio"),
-        mobility=_build(MobilityConfig, d["mobility"], "mobility", area=area),
+        mobility=_build(MobilityConfig, d["mobility"], "mobility"),
         service=_build(NodeServiceProfile, {k: v for k, v in run.items() if k in service_keys}, "run"),
         consensus=_build(ConsensusParams, d["consensus"], "consensus"),
         workload=_build(WorkloadParams, d["workload"], "workload"),

@@ -40,7 +40,6 @@ import hashlib
 import heapq
 import json
 import math
-import random
 import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -70,7 +69,7 @@ from .domain import (
     signed_message,
 )
 from .faults import ByzantineStrategy, FaultPlan
-from .mobility import AreaBounds, KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
+from .mobility import KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
 from .scenario import DeployedUav, Scenario, ScenarioError, deploy_fleet
 
@@ -359,14 +358,8 @@ class Simulation:
         rng = substream(self.seed, "mobility")
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            node.waypoint = self._sample_cluster_waypoint(node, rng)
+            node.waypoint = sample_waypoint(rng, node.uav.box)
         self._mobility_rng = rng
-
-    def _sample_cluster_waypoint(self, node: SimNode, rng: random.Random) -> Vec3:
-        region = node.uav.waypoint_region
-        area = self.scenario.area
-        box = AreaBounds(region.x_min, region.x_max, region.y_min, region.y_max, area.z_min, area.z_max)
-        return sample_waypoint(rng, box)
 
     def _generate_workload(self) -> None:
         rng = substream(self.seed, "workload")
@@ -629,6 +622,7 @@ class Simulation:
     def _on_mobility(self) -> None:
         scn = self.scenario
         mob = scn.mobility
+        area = scn.area
         active_spoofs: dict[NodeId, Vec3] = {}
         for window in self.plan.spoof:
             if window.active(self.now):
@@ -639,9 +633,9 @@ class Simulation:
             kin = node.kin
             accel = steer_to_waypoint(kin, node.waypoint, mob)
             if accel is ZERO:  # arrived: only an arrival returns ZERO itself
-                node.waypoint = self._sample_cluster_waypoint(node, self._mobility_rng)
+                node.waypoint = sample_waypoint(self._mobility_rng, node.uav.box)
                 accel = steer_to_waypoint(kin, node.waypoint, mob)
-            kin = node.kin = step(kin, accel, mob)
+            kin = node.kin = step(kin, accel, mob, area)
             node.reported = apply_spoofing(kin.position, active_spoofs.get(node_id, ZERO))
         self._record("mobility_tick")
         nxt = self.now + mob.dt
@@ -834,14 +828,20 @@ class Simulation:
             self.counters["invalid_signature"] += machine.invalid_signature_count
             self.counters["unknown_sender"] += machine.unknown_sender_count
             self.counters["invalid_block"] += machine.invalid_block_count
-        in_flight = (
-            self.counters["sent"]
-            + self.counters["junk_injected"]
-            - self.counters["delivered"]
-            - self.counters["dropped"]
-            - self.counters["dropped_zero_capacity"]
-            - self.counters["dropped_queue_full"]
+        # Conservation: the messages still pending arrival or waiting in an
+        # inbox are every message sent and not yet delivered or dropped.
+        in_flight = sum(len(node.inbox) for node in self.nodes.values()) + sum(
+            len(data[3]) for _t, _seq, handler, data in self._heap if handler is Simulation._on_arrivals
         )
+        c = self.counters
+        unaccounted = (
+            c["sent"] + c["junk_injected"] - c["delivered"]
+            - c["dropped"] - c["dropped_zero_capacity"] - c["dropped_queue_full"]
+        )
+        if in_flight != unaccounted:
+            raise RuntimeError(
+                f"message conservation violated: {in_flight} in flight, but the counters leave {unaccounted}"
+            )
         self._record(
             "end",
             counters=dict(self.counters),

@@ -22,12 +22,11 @@ def mini_scenario(
     trace_detail: str = "events",
 ) -> Scenario:
     """Tiny all-validator scenario for fast consensus-level runs."""
-    area = AreaBounds(0.0, 5_000.0, 0.0, 5_000.0, 50.0, 300.0)
     return Scenario(
-        area=area,
+        area=AreaBounds(0.0, 5_000.0, 0.0, 5_000.0, 50.0, 300.0),
         fleet={Mission.CONNECTIVITY: ClusterSpec(n, Region(500.0, 4_500.0, 500.0, 4_500.0), stake=1.0)},
         radio=LinkBudgetParams(),
-        mobility=MobilityConfig(area=area),
+        mobility=MobilityConfig(),
         service=NodeServiceProfile(proc_latency_s=0.0005, service_rate_msgs_per_s=2_000.0),
         consensus=ConsensusParams(
             n_validators=n,

@@ -32,7 +32,7 @@ from uavchain.harness import (
     replay,
     run_experiment,
 )
-from uavchain.mobility import KinematicState, MobilityConfig, Vec3, step
+from uavchain.mobility import AreaBounds, KinematicState, MobilityConfig, Vec3, step
 from uavchain.radio import (
     PROPAGATION_SPEED_M_S,
     LinkBudgetParams,
@@ -392,11 +392,12 @@ def test_criterion_10_kinematics():
     the area, where neither a boundary nor the speed clamp acts), and speed
     never exceeds 50 m/s across 100,000 randomized property steps."""
     cfg = MobilityConfig(dt=0.1)
+    area = AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0)
     p0, v0, a = Vec3(12_000.0, 12_000.0, 200.0), Vec3(3.0, 1.0, -0.5), Vec3(0.04, -0.03, 0.01)
     state = KinematicState(position=p0, velocity=v0)
     steps = 1_000
     for _ in range(steps):
-        state = step(state, a, cfg)
+        state = step(state, a, cfg, area)
     t = steps * cfg.dt
     for axis in ("x", "y", "z"):
         expected = getattr(p0, axis) + getattr(v0, axis) * t + 0.5 * getattr(a, axis) * t * t
@@ -407,7 +408,7 @@ def test_criterion_10_kinematics():
     checked = 0
     for _ in range(100_000):
         accel = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-2, 2))
-        state = step(state, accel, cfg)
+        state = step(state, accel, cfg, area)
         assert state.velocity.norm() <= cfg.v_max + 1e-9
         checked += 1
     print(f"\nACCEPTANCE 10 PASS: closed-form match to 1e-9; speed bound held on {checked} steps")

@@ -6,7 +6,6 @@ from collections import Counter
 import pytest
 
 from uavchain.mobility import (
-    DEFAULT_AREA,
     AreaBounds,
     KinematicState,
     MobilityConfig,
@@ -19,6 +18,8 @@ from uavchain.mobility import (
 )
 
 CFG = MobilityConfig()
+# 25 km x 25 km urban area with a [50, 500] m altitude band.
+AREA = AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0)
 
 
 def contains(area, p, tol=1e-9):
@@ -52,28 +53,28 @@ class TestVec3:
 class TestStep:
     def test_constant_velocity(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(0, 0, 100, vx=10), ZERO, cfg)
+        out = step(state_at(0, 0, 100, vx=10), ZERO, cfg, AREA)
         assert out.position == Vec3(10, 0, 100)
 
     def test_quadratic_acceleration_term(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(0, 0, 100), Vec3(2, 0, 0), cfg)
+        out = step(state_at(0, 0, 100), Vec3(2, 0, 0), cfg, AREA)
         assert out.position == Vec3(1, 0, 100)
         assert out.velocity == Vec3(2, 0, 0)
 
     def test_speed_clamped_to_v_max(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(100, 100, 100, vx=49), Vec3(20, 0, 0), cfg)
+        out = step(state_at(100, 100, 100, vx=49), Vec3(20, 0, 0), cfg, AREA)
         assert out.velocity.norm() == pytest.approx(cfg.v_max)
 
     def test_clamp_preserves_direction(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(100, 100, 100, vx=40, vy=40), ZERO, cfg)
+        out = step(state_at(100, 100, 100, vx=40, vy=40), ZERO, cfg, AREA)
         assert out.velocity.x == pytest.approx(out.velocity.y)
 
     def test_boundary_reflection(self):
         cfg = MobilityConfig(dt=1.0)
-        out = step(state_at(24_999, 100, 100, vx=10), ZERO, cfg)
+        out = step(state_at(24_999, 100, 100, vx=10), ZERO, cfg, AREA)
         assert out.position.x == pytest.approx(2 * 25_000 - 25_009)
         assert out.velocity.x < 0
 
@@ -83,8 +84,8 @@ class TestStep:
         state = state_at(24_900, 24_900, 480, vx=45, vy=30, vz=20)
         accel = Vec3(3, -2, 1)
         for _ in range(2_000):
-            state = step(state, accel, cfg)
-            assert contains(cfg.area, state.position)
+            state = step(state, accel, cfg, AREA)
+            assert contains(AREA, state.position)
 
     def test_exact_kinematics_against_closed_form(self):
         # Well inside the area and below v_max, neither a boundary nor the
@@ -95,7 +96,7 @@ class TestStep:
         state = KinematicState(position=p0, velocity=v0)
         n = 1_000
         for _ in range(n):
-            state = step(state, a, cfg)
+            state = step(state, a, cfg, AREA)
         t = n * cfg.dt
         for axis in ("x", "y", "z"):
             expected = (
@@ -113,7 +114,7 @@ class TestStep:
             )
             accel = Vec3(rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-2, 2))
             for _ in range(50):
-                state = step(state, accel, cfg)
+                state = step(state, accel, cfg, AREA)
                 assert state.velocity.norm() <= cfg.v_max + 1e-9
 
 
@@ -121,13 +122,13 @@ class TestSampleWaypoint:
     def test_inside_bounds(self):
         rng = random.Random(0)
         for _ in range(500):
-            p = sample_waypoint(rng, DEFAULT_AREA)
-            assert contains(DEFAULT_AREA, p)
+            p = sample_waypoint(rng, AREA)
+            assert contains(AREA, p)
 
     def test_equal_seeds_equal_sequences(self):
         a, b = random.Random(99), random.Random(99)
-        seq_a = [sample_waypoint(a, DEFAULT_AREA) for _ in range(50)]
-        seq_b = [sample_waypoint(b, DEFAULT_AREA) for _ in range(50)]
+        seq_a = [sample_waypoint(a, AREA) for _ in range(50)]
+        seq_b = [sample_waypoint(b, AREA) for _ in range(50)]
         assert seq_a == seq_b
 
     def test_uniformity_ks(self):
@@ -137,7 +138,7 @@ class TestSampleWaypoint:
 
         rng = random.Random(7)
         n = 10_000
-        samples = [sample_waypoint(rng, DEFAULT_AREA) for _ in range(n)]
+        samples = [sample_waypoint(rng, AREA) for _ in range(n)]
         crit = 1.628 / math.sqrt(n)  # 1% critical value, asymptotic form
         for axis, lo, hi in (("x", 0, 25_000), ("y", 0, 25_000), ("z", 50, 500)):
             values = [(getattr(p, axis) - lo) / (hi - lo) for p in samples]
@@ -176,7 +177,7 @@ class TestSteerToWaypoint:
         distances = []
         for _ in range(1_000):
             accel = steer_to_waypoint(state, target, cfg)
-            state = step(state, accel, cfg)
+            state = step(state, accel, cfg, AREA)
             distances.append(state.position.distance_to(target))
             if distances[-1] <= cfg.waypoint_arrival_radius:
                 break
@@ -233,14 +234,13 @@ def _oracle_reflect(value, velocity, lo, hi, hits):
     return value, velocity
 
 
-def oracle_step(state, accel, cfg, hits):
+def oracle_step(state, accel, cfg, area, hits):
     dt = cfg.dt
     pos = state.position + _scale(state.velocity, dt) + _scale(accel, 0.5 * dt * dt)
     vel = _clamped(state.velocity + _scale(accel, dt), cfg.v_max, hits, "speed_clamp")
-    a = cfg.area
-    x, vx = _oracle_reflect(pos.x, vel.x, a.x_min, a.x_max, hits)
-    y, vy = _oracle_reflect(pos.y, vel.y, a.y_min, a.y_max, hits)
-    z, vz = _oracle_reflect(pos.z, vel.z, a.z_min, a.z_max, hits)
+    x, vx = _oracle_reflect(pos.x, vel.x, area.x_min, area.x_max, hits)
+    y, vy = _oracle_reflect(pos.y, vel.y, area.y_min, area.y_max, hits)
+    z, vz = _oracle_reflect(pos.z, vel.z, area.z_min, area.z_max, hits)
     return KinematicState(position=Vec3(x, y, z), velocity=Vec3(vx, vy, vz))
 
 
@@ -271,9 +271,9 @@ def state_hex(s):
 
 SMALL_BOX = AreaBounds(0.0, 10.0, -5.0, 5.0, 50.0, 56.0)
 ORACLE_CFGS = (
-    MobilityConfig(v_max=6.0, a_max=2.0, dt=0.5, area=SMALL_BOX, waypoint_arrival_radius=1.5),
-    MobilityConfig(v_max=40.0, a_max=9.0, dt=1.0, area=SMALL_BOX, waypoint_arrival_radius=0.25),
-    MobilityConfig(v_max=3.0, a_max=30.0, dt=0.1, area=SMALL_BOX, waypoint_arrival_radius=4.0),
+    MobilityConfig(v_max=6.0, a_max=2.0, dt=0.5, waypoint_arrival_radius=1.5),
+    MobilityConfig(v_max=40.0, a_max=9.0, dt=1.0, waypoint_arrival_radius=0.25),
+    MobilityConfig(v_max=3.0, a_max=30.0, dt=0.1, waypoint_arrival_radius=4.0),
 )
 
 
@@ -300,7 +300,7 @@ def _random_point(rng, area, margin):
 
 def _random_case(rng):
     cfg = rng.choice(ORACLE_CFGS)
-    area = cfg.area
+    area = SMALL_BOX
     position = _random_point(rng, area, 0.0 if rng.random() < 0.8 else 3.0)
     if rng.random() < 0.3:
         waypoint = position + _random_vec(rng, cfg.waypoint_arrival_radius)
@@ -338,7 +338,9 @@ class TestBitIdentityWithVec3Oracle:
             if not arrived and command == ZERO:
                 zero_corrections += 1
 
-            assert state_hex(step(state, accel, cfg)) == state_hex(oracle_step(state, accel, cfg, hits))
+            assert state_hex(step(state, accel, cfg, SMALL_BOX)) == state_hex(
+                oracle_step(state, accel, cfg, SMALL_BOX, hits)
+            )
             assert vec_hex(apply_spoofing(state.position, offset)) == vec_hex(
                 oracle_apply_spoofing(state.position, offset, hits)
             )
@@ -351,9 +353,9 @@ class TestBitIdentityWithVec3Oracle:
         # part of the result, so it must come out of the same operations.
         state = KinematicState(Vec3(-0.0, 0.0, 50.0), Vec3(-0.0, -0.0, 0.0))
         accel = Vec3(-0.0, 0.0, -0.0)
-        cfg = MobilityConfig(area=AreaBounds(-1.0, 1.0, -1.0, 1.0, 40.0, 60.0))
+        area = AreaBounds(-1.0, 1.0, -1.0, 1.0, 40.0, 60.0)
         hits = Counter()
-        assert state_hex(step(state, accel, cfg)) == state_hex(oracle_step(state, accel, cfg, hits))
+        assert state_hex(step(state, accel, CFG, area)) == state_hex(oracle_step(state, accel, CFG, area, hits))
         for offset in (ZERO, Vec3(-0.0, -0.0, -0.0)):
             assert vec_hex(apply_spoofing(state.position, offset)) == vec_hex(
                 oracle_apply_spoofing(state.position, offset, hits)
@@ -368,7 +370,7 @@ def trajectory_digest(n_ticks=20_000):
     """
     rng = random.Random(77)
     area = AreaBounds(0.0, 300.0, 0.0, 200.0, 50.0, 120.0)
-    cfg = MobilityConfig(v_max=25.0, a_max=6.0, dt=0.2, area=area, waypoint_arrival_radius=8.0)
+    cfg = MobilityConfig(v_max=25.0, a_max=6.0, dt=0.2, waypoint_arrival_radius=8.0)
     state = KinematicState(Vec3(150.0, 100.0, 80.0), Vec3(20.0, -20.0, 5.0))
     waypoint = sample_waypoint(rng, area)
     offset = ZERO
@@ -378,7 +380,7 @@ def trajectory_digest(n_ticks=20_000):
         if accel == ZERO and state.position.distance_to(waypoint) <= cfg.waypoint_arrival_radius:
             waypoint = sample_waypoint(rng, area)
             accel = steer_to_waypoint(state, waypoint, cfg)
-        state = step(state, accel, cfg)
+        state = step(state, accel, cfg, area)
         if tick % 500 == 0:
             offset = ZERO if offset != ZERO else Vec3(rng.uniform(-90, 90), rng.uniform(-90, 90), 0.0)
         reported = apply_spoofing(state.position, offset)

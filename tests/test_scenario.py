@@ -1,17 +1,29 @@
 import json
 import math
 import re
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 
 import pytest
 
-from uavchain.consensus import Mission
+from uavchain.consensus import Mission, ProposerPolicy, ProtocolKind, ScoreWeights
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
-from uavchain.harness import InvalidOverride, build_desk_scenario, build_hurricane_scenario
+from uavchain.harness import (
+    InvalidOverride,
+    build_desk_scenario,
+    build_hurricane_scenario,
+    export,
+    replay,
+    run_experiment,
+)
 from uavchain.mobility import AreaBounds, MobilityConfig, Vec3
 from uavchain.radio import LinkBudgetParams, NodeServiceProfile
 from uavchain.scenario import (
+    ClusterSpec,
+    ConsensusParams,
+    Region,
+    Scenario,
     ScenarioError,
+    WorkloadParams,
     deploy_fleet,
     fault_plan_from_dict,
     fault_plan_to_dict,
@@ -31,7 +43,79 @@ def _set_path(doc, path, value):
     doc[key] = value
 
 
+def off_default_scenario() -> Scenario:
+    """A small scenario in which every field that has a default is off it."""
+    return Scenario(
+        area=AreaBounds(-1_000.0, 6_000.0, 500.0, 5_500.0, 20.0, 180.0),
+        fleet={
+            Mission.CONNECTIVITY: ClusterSpec(3, Region(0.0, 2_000.0, 1_000.0, 3_000.0), 2.0, stake_jitter=0.2),
+            Mission.DELIVERY: ClusterSpec(2, Region(-500.0, 1_500.0, 2_000.0, 4_000.0), 0.5, stake_jitter=0.0),
+            Mission.RESCUE: ClusterSpec(2, Region(3_000.0, 5_000.0, 3_000.0, 5_000.0), 0.25, stake_jitter=0.5),
+            Mission.ASSESSMENT: ClusterSpec(1, Region(1_000.0, 4_000.0, 600.0, 1_600.0), 0.0, stake_jitter=1.0),
+        },
+        radio=LinkBudgetParams(
+            tx_power_w=2.0, tx_gain_dbi=3.0, rx_gain_dbi=4.5,
+            carrier_hz=2.4e9, noise_power_w=5e-12, bandwidth_hz=20e6,
+        ),
+        mobility=MobilityConfig(v_max=30.0, a_max=3.0, dt=0.2, waypoint_arrival_radius=25.0),
+        service=NodeServiceProfile(proc_latency_s=0.002, service_rate_msgs_per_s=1_500.0),
+        consensus=ConsensusParams(
+            n_validators=5,
+            weights=ScoreWeights(0.4, 0.3, 0.2, 0.1),
+            policy=ProposerPolicy.ROUND_ROBIN,
+            timeout_s=0.3,
+            timeout_backoff=1.5,
+            max_txs_per_block=4,
+            min_block_interval_s=0.1,
+            reelect_every_blocks=3,
+            vote_bits=256,
+            header_bits=512,
+        ),
+        workload=WorkloadParams(tx_rate_per_uav=0.5, payload_bits=1_024),
+        duration_s=1.5,
+        extra_delay_jitter_s=0.001,
+        trace_detail="full",
+    )
+
+
 class TestRoundTrip:
+    def test_off_default_scenario_is_off_every_default(self):
+        scn = off_default_scenario()
+        sections = (scn, scn.radio, scn.mobility, scn.service, scn.consensus, scn.consensus.weights, scn.workload)
+        for section in (*sections, *scn.fleet.values()):
+            for f in fields(section):
+                default = f.default_factory() if f.default_factory is not MISSING else f.default
+                assert default is MISSING or getattr(section, f.name) != default, (type(section).__name__, f.name)
+        assert scn.fleet.keys() == set(Mission)
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_hurricane_scenario, build_desk_scenario, lambda: mini_scenario(5), off_default_scenario],
+        ids=["hurricane", "desk", "mini", "off_default"],
+    )
+    def test_scenario_round_trip_is_equal(self, build):
+        # Equal scenarios, not only equal documents: a field the document
+        # dropped would come back at its default.
+        scn = build()
+        assert scenario_from_dict(scenario_to_dict(scn)) == scn
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: replace(
+                build_hurricane_scenario({"duration_s": 1.0}),
+                area=AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 300.0),
+            ),
+            off_default_scenario,
+        ],
+        ids=["hurricane_low_ceiling", "off_default"],
+    )
+    def test_code_built_run_replays_from_its_summary(self, build, tmp_path):
+        scn = build()
+        report, result = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 1)
+        paths = export(report, result, tmp_path, scn, FaultPlan())
+        assert replay(paths["summary"]) == (True, report.trace_hash, report.trace_hash)
+
     def test_dict_round_trip_is_lossless(self):
         scn = build_hurricane_scenario()
         doc = scenario_to_dict(scn)
@@ -289,7 +373,7 @@ class TestCodeBuiltNonFinite:
             replace(build_hurricane_scenario(), **{name: bad})
 
     @NON_FINITE
-    @pytest.mark.parametrize("name", [f.name for f in fields(MobilityConfig) if f.name != "area"])
+    @pytest.mark.parametrize("name", [f.name for f in fields(MobilityConfig)])
     def test_mobility_config(self, name, bad):
         with pytest.raises(ValueError, match="finite"):
             MobilityConfig(**{name: bad})
@@ -332,7 +416,8 @@ class TestCodeBuiltNonFinite:
 
     def test_finite_values_still_construct(self):
         replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
-        MobilityConfig(area=AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4))
+        AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4)
+        MobilityConfig(v_max=1e300, a_max=1e-300, dt=1e-6, waypoint_arrival_radius=1e6)
         LinkBudgetParams(tx_gain_dbi=-3.0, rx_gain_dbi=0.0)
         DdosWindow(1, 0.0, 1e9, 1e6)
         SpoofWindow(1, Vec3(0.0, -0.0, 1e-300), 0.0, 1e9)
@@ -435,6 +520,10 @@ class TestDeployment:
             region = scn.fleet[uav.profile.mission].region
             assert region.x_min <= uav.state.position.x <= region.x_max
             assert region.y_min <= uav.state.position.y <= region.y_max
+            assert uav.box == AreaBounds(
+                region.x_min, region.x_max, region.y_min, region.y_max, scn.area.z_min, scn.area.z_max
+            )
+            assert scn.area.z_min <= uav.state.position.z <= scn.area.z_max
 
     def test_unique_node_ids(self):
         uavs = deploy_fleet(build_hurricane_scenario(), 3)

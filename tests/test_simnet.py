@@ -72,6 +72,18 @@ class TestConservation:
         assert c["sent"] + c["junk_injected"] == reconstructed
         assert end["in_flight"] >= 0
 
+    def test_double_counted_delivery_fails_the_run(self, monkeypatch):
+        deliver = Simulation._on_deliver
+
+        def deliver_counted_twice(sim, dst):
+            deliver(sim, dst)
+            if sim.counters["delivered"] == 1:
+                sim.counters["delivered"] += 1
+
+        monkeypatch.setattr(Simulation, "_on_deliver", deliver_counted_twice)
+        with pytest.raises(RuntimeError, match="message conservation violated"):
+            run(mini_scenario(4, duration=1.0), FaultPlan(), ProtocolKind.HYBRID, 1)
+
     def test_drop_prob_one_delivers_nothing(self):
         scn = mini_scenario(4, duration=1.0)
         result = run(scn, FaultPlan(drop_prob=1.0), ProtocolKind.HYBRID, 1)
