@@ -21,9 +21,10 @@ the three phases safe across view changes:
   change still converge on the committed block.
 
 Every transition is a pure function of (state, message, validator set,
-clock, protocol config): ``handle_message`` returns a new state and never
-mutates its input.  Vote tallies are keyed sets of distinct senders, so the
-final state is independent of message arrival order.
+clock, protocol config): ``handle_message`` returns a new state (or, for a
+stale message, its input) and never mutates its input.  Vote tallies are
+keyed sets of distinct senders, so the final state is independent of
+message arrival order.
 
 Two baseline protocols share the machine: pure-DPoS commits on the
 proposer's block plus a simple majority of acknowledgments in a single
@@ -439,22 +440,25 @@ def handle_message(
 
     Messages that fail signature verification or come from outside the
     validator set are discarded and counted.  Stale (lower height or view)
-    and duplicate messages leave the protocol state unchanged.
+    and duplicate messages leave the protocol state unchanged; a message
+    below the node's height returns the input state itself.
     """
-    r = state.copy()
     outbound: list[ConsensusMessage] = []
     committed: list[Block] = []
 
     if not msg.verifies():
+        r = state.copy()
         r.invalid_signature_count += 1
         return HandleResult(r, outbound, committed)
     if msg.sender not in vset.ids:
+        r = state.copy()
         r.unknown_sender_count += 1
         return HandleResult(r, outbound, committed)
 
     h = _body_height(msg)
-    if h < r.height:
-        return HandleResult(r, outbound, committed)
+    if h < state.height:
+        return HandleResult(state, outbound, committed)
+    r = state.copy()
     if h > r.height:
         if h - r.height <= FUTURE_WINDOW:
             r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}

@@ -115,8 +115,13 @@ class WorkloadParams:
     payload_bits: int = 2048
 
     def __post_init__(self) -> None:
-        if self.tx_rate_per_uav < 0 or self.payload_bits < 0:
-            raise ScenarioError("tx_rate_per_uav and payload_bits must be >= 0")
+        # An infinite rate draws zero gaps, so workload generation never
+        # ends; a NaN payload makes every arrival time NaN; a bool is no
+        # count, and the trace would write it as `True`, not `true`.
+        for name in ("tx_rate_per_uav", "payload_bits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not 0 <= value < math.inf:
+                raise ScenarioError(f"{name} must be a finite number >= 0, not a bool")
 
 
 @dataclass(frozen=True)

@@ -351,6 +351,22 @@ class TestHandleMessage:
         result = handle_message(state, prep, self.vset, 0.0, self.cfg)
         assert result.state.prepare_votes == {}
 
+    @pytest.mark.parametrize("vote", [Prepare, Commit])
+    def test_late_vote_returns_its_input_state(self, vote):
+        # Node 0 commits height 1; the last member's vote for it arrives late.
+        block, msg = self.make_proposal()
+        prep, com = Prepare(block.block_hash, 1, 0), Commit(block.block_hash, 1, 0)
+        msgs = [msg, signed_message(2, prep), signed_message(3, prep),
+                signed_message(2, com), signed_message(3, com)]
+        state = initial_state(0, 0.0, self.cfg)
+        state, _, committed = run_messages(state, msgs, self.vset, self.cfg)
+        assert committed == [block] and state.height == 2
+        before = state.copy()
+        result = handle_message(state, signed_message(1, vote(block.block_hash, 1, 0)), self.vset, 0.5, self.cfg)
+        assert result.state is state
+        assert result.outbound == [] and result.committed == []
+        assert state == before and state.settled is before.settled
+
     def test_duplicate_votes_not_double_counted(self):
         block, msg = self.make_proposal()
         state = initial_state(0, 0.0, self.cfg)

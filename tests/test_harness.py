@@ -312,7 +312,8 @@ def _dumps(record):
 
 
 class TestLineFormats:
-    """The format strings that write send, deliver and drop lines give the
+    """The format strings that write the fixed-shape lines -- send, deliver
+    and drop, and commit, tx_arrival, proposal and mobility_tick -- give the
     generic encoder's bytes."""
 
     TRANSPORT = {
@@ -322,6 +323,18 @@ class TestLineFormats:
             "latency": 0.001,
         },
         "drop": {"t": 0.5, "seq": 7, "kind": "drop", "src": 1, "dst": 2, "reason": "queue_full"},
+    }
+    EVENTS = {
+        "commit": {"t": 0.5, "seq": 7, "kind": "commit", "node": 3, "height": 12, "hash": "0f" * 32},
+        "tx_arrival": {
+            "t": 0.5, "seq": 7, "kind": "tx_arrival", "tx": 10**6, "origin": 199,
+            "mission": "assessment", "bits": 60_000,
+        },
+        "proposal": {
+            "t": 0.5, "seq": 7, "kind": "proposal", "node": 3, "height": 12, "view": 2,
+            "hash": "a9" * 32, "txs": 16,
+        },
+        "mobility_tick": {"t": 0.5, "seq": 7, "kind": "mobility_tick"},
     }
     EDGES = {
         "1e-07": {"t": 1e-07},
@@ -333,6 +346,13 @@ class TestLineFormats:
         "attacker-src": {"src": simnet.ATTACKER_ID},
     }
 
+    @pytest.fixture
+    def no_encoder(self, monkeypatch):
+        def generic(record):
+            raise AssertionError("a fixed-shape record reached the generic encoder")
+
+        monkeypatch.setattr(simnet, "_encode_record", generic)
+
     def test_every_record_of_a_run(self, attack_run):
         events = run_experiment(mini_scenario(7, duration=2.0), ProtocolKind.HYBRID, FaultPlan(), 1)[1]
         formatted = 0
@@ -342,22 +362,40 @@ class TestLineFormats:
                 formatted += (record["kind"], len(record)) in simnet._LINE_FORMATS
         assert formatted > len(attack_run[3].trace.records) // 2
 
+    @pytest.mark.parametrize("attacked", [False, True], ids=["no-attacks", "canonical"])
+    @pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda p: p.value)
+    def test_every_record_of_an_events_run(self, protocol, attacked):
+        scn = mini_scenario(7, duration=2.0, reelect_every=5)
+        plan = canonical_fault_plan(scn, 3) if attacked else FaultPlan()
+        records = run_experiment(scn, protocol, plan, 3)[1].trace.records
+        kinds = {record["kind"] for record in records}
+        assert {"tx_arrival", "mobility_tick", "proposal"} <= kinds
+        for record in records:
+            assert simnet._encode_line(record) == _dumps(record)
+            # Each kind with a format is written by it: no field count drifts.
+            if record["kind"] in self.EVENTS:
+                assert (record["kind"], len(record)) in simnet._LINE_FORMATS
+
     @pytest.mark.parametrize("edge", list(EDGES))
     @pytest.mark.parametrize("kind", list(TRANSPORT))
-    def test_edge_values(self, kind, edge, monkeypatch):
+    def test_edge_values(self, kind, edge, no_encoder):
         record = {**self.TRANSPORT[kind], **self.EDGES[edge]}
         if kind == "deliver":
             record["latency"] = record["t"]
-        expected = _dumps(record)
+        assert simnet._encode_line(record) == _dumps(record)
 
-        def generic(record):
-            raise AssertionError("a transport record reached the generic encoder")
+    @pytest.mark.parametrize("edge", [name for name, edge in EDGES.items() if "t" in edge])
+    @pytest.mark.parametrize("kind", list(EVENTS))
+    def test_event_edge_values(self, kind, edge, no_encoder):
+        record = {**self.EVENTS[kind], **self.EDGES[edge]}
+        assert simnet._encode_line(record) == _dumps(record)
 
-        monkeypatch.setattr(simnet, "_encode_record", generic)
-        assert simnet._encode_line(record) == expected
+    @pytest.mark.parametrize("mission", list(Mission), ids=lambda m: m.value)
+    def test_missions_need_no_escape(self, mission, no_encoder):
+        record = {**self.EVENTS["tx_arrival"], "mission": mission.value, "bits": 2048.0}
+        assert simnet._encode_line(record) == _dumps(record)
 
     def test_extra_field_falls_back(self, monkeypatch):
-        record = {**self.TRANSPORT["send"], "note": "extra"}
         encode, calls = simnet._encode_record, []
 
         def counting(record):
@@ -365,8 +403,11 @@ class TestLineFormats:
             return encode(record)
 
         monkeypatch.setattr(simnet, "_encode_record", counting)
-        assert simnet._encode_line(record) == _dumps(record)
-        assert calls == [1]
+        formatted = {**self.TRANSPORT, **self.EVENTS}
+        for record in formatted.values():
+            record = {**record, "note": "extra"}
+            assert simnet._encode_line(record) == _dumps(record)
+        assert len(calls) == len(formatted)
 
 
 class TestBuilders:

@@ -414,8 +414,25 @@ class TestCodeBuiltNonFinite:
         with pytest.raises(ValueError, match="offset must be finite"):
             SpoofWindow(1, Vec3(*offset), 0.5, 1.0)
 
+    # An infinite rate never ends workload generation, a NaN payload turns
+    # arrival times into NaN, and a bool would be written to the trace as
+    # `True` by the tx_arrival format string.
+    @NON_FINITE
+    @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
+    def test_workload(self, name, bad):
+        with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
+            WorkloadParams(**{name: bad})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
+    def test_workload_bool(self, name, flag):
+        with pytest.raises(ScenarioError, match=f"{name} .*not a bool"):
+            WorkloadParams(**{name: flag})
+
     def test_finite_values_still_construct(self):
         replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
+        WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
+        WorkloadParams(tx_rate_per_uav=1e300, payload_bits=10**9)
         AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4)
         MobilityConfig(v_max=1e300, a_max=1e-300, dt=1e-6, waypoint_arrival_radius=1e6)
         LinkBudgetParams(tx_gain_dbi=-3.0, rx_gain_dbi=0.0)
