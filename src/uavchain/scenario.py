@@ -116,12 +116,14 @@ class WorkloadParams:
 
     def __post_init__(self) -> None:
         # An infinite rate draws zero gaps, so workload generation never
-        # ends; a NaN payload makes every arrival time NaN; a bool is no
-        # count, and the trace would write it as `True`, not `true`.
-        for name in ("tx_rate_per_uav", "payload_bits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not 0 <= value < math.inf:
-                raise ScenarioError(f"{name} must be a finite number >= 0, not a bool")
+        # ends; a NaN payload makes every arrival time NaN; a payload of no
+        # bits is no transaction; a bool is no count, and the trace would
+        # write it as `True`, not `true`.
+        rate, bits = self.tx_rate_per_uav, self.payload_bits
+        if isinstance(rate, bool) or not 0 <= rate < math.inf:
+            raise ScenarioError("tx_rate_per_uav must be a finite number >= 0, not a bool")
+        if isinstance(bits, bool) or not 0 < bits < math.inf:
+            raise ScenarioError("payload_bits must be a finite number > 0, not a bool")
 
 
 @dataclass(frozen=True)

@@ -404,8 +404,6 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._seq, handler, data))
 
     def _record(self, kind: str, **fields: Any) -> None:
-        """Add a record of ``kind`` at the current time.  The transport
-        records of a full trace, the bulk of it, are built in place instead."""
         self._rec_seq += 1
         record = {"t": round(self.now, 9), "seq": self._rec_seq, "kind": kind}
         record.update(fields)
@@ -426,14 +424,10 @@ class Simulation:
         """Send one message, ``wire`` of ``bits`` (its `_wire_bits`), from
         ``src`` to each of ``dsts`` in order, and queue its arrivals as one
         event.  Each recipient draws loss, then jitter, and takes its
-        sequence number, in ``dsts`` order.  A full trace records each send,
-        and each drop here, as it happens."""
+        sequence number, in ``dsts`` order."""
         self.counters["sent"] += len(dsts)
         full_trace = self.full_trace
-        if full_trace:
-            add = self.trace.add
-            msg = wire.kind()
-            t = round(self.now, 9)
+        kind = wire.kind() if full_trace else None
         drop_prob = self.plan.drop_prob
         draw_drop = self.rng_drop.random
         max_jitter = self.scenario.extra_delay_jitter_s
@@ -446,13 +440,11 @@ class Simulation:
         arrivals = []
         for dst in dsts:
             if full_trace:
-                self._rec_seq += 1
-                add({"t": t, "seq": self._rec_seq, "kind": "send", "src": src, "dst": dst, "msg": msg})
+                self._record("send", src=src, dst=dst, msg=kind)
             if drop_prob > 0 and draw_drop() < drop_prob:
                 self.counters["dropped"] += 1
                 if full_trace:
-                    self._rec_seq += 1
-                    add({"t": t, "seq": self._rec_seq, "kind": "drop", "src": src, "dst": dst, "reason": "loss"})
+                    self._record("drop", src=src, dst=dst, reason="loss")
                 continue
             distance = here.distance_to(nodes[dst].reported)
             if distance < MIN_LINK_DISTANCE_M:
@@ -461,8 +453,7 @@ class Simulation:
             if cap <= 0.0:
                 self.counters["dropped_zero_capacity"] += 1
                 if full_trace:
-                    self._rec_seq += 1
-                    add({"t": t, "seq": self._rec_seq, "kind": "drop", "src": src, "dst": dst, "reason": "zero_capacity"})
+                    self._record("drop", src=src, dst=dst, reason="zero_capacity")
                 continue
             # Transmission, then propagation, then jitter: the sum's order.
             t_arr = now + bits / cap + distance / PROPAGATION_SPEED_M_S
@@ -560,30 +551,24 @@ class Simulation:
     def _absorb_result(self, node_id: NodeId, result: cons.HandleResult) -> None:
         node = self.nodes[node_id]
         old = node.machine
-        state = node.machine = result.state
-        # A stale or duplicate delivery sends, commits and moves nothing.
-        if (
-            not result.outbound and not result.committed
-            and state.view == old.view and state.timeout_deadline == old.timeout_deadline
-        ):
-            return
         vset = self.vset
+        node.machine = result.state
         for block in result.committed:
             self._note_commit(node_id, block)
-        if state.view != old.view:
+        if result.state.view != old.view:
             self.counters["view_changes"] += 1
             self._record(
                 "view_adopted", node=node_id, height=old.height,
-                old_view=old.view, new_view=state.view,
+                old_view=old.view, new_view=result.state.view,
             )
             self._note_failed_proposer(old.height, old.view)
-        if state.timeout_deadline != old.timeout_deadline:
+        if result.state.timeout_deadline != old.timeout_deadline:
             self._arm_timeout(node_id)
         if result.outbound:
             self._broadcast(node_id, result.outbound)
         if self.vset is not vset:  # re-elected, possibly reordering members
             self._schedule_proposer_duty(self.vset.ordered_ids)
-        elif result.committed or state.view != old.view:
+        elif result.committed or result.state.view != old.view:
             self._schedule_proposer_duty((node_id,))
 
     def _note_commit(self, node_id: NodeId, block: Block) -> None:
@@ -697,11 +682,7 @@ class Simulation:
             if admitted is None:
                 self.counters["dropped_queue_full"] += 1
                 if self.full_trace:
-                    self._rec_seq += 1
-                    self.trace.add({
-                        "t": round(t_arr, 9), "seq": self._rec_seq, "kind": "drop",
-                        "src": src, "dst": dst, "reason": "queue_full",
-                    })
+                    self._record("drop", src=src, dst=dst, reason="queue_full")
             else:
                 # The inbox's keys only grow (service starts never decrease,
                 # seq breaks ties), so its head holds its least key.
@@ -729,12 +710,10 @@ class Simulation:
             heapq.heappush(self._heap, (head[0], head[1], Simulation._on_deliver, (dst,)))
         self.counters["delivered"] += 1
         if self.full_trace:
-            now = self.now
-            self._rec_seq += 1
-            self.trace.add({
-                "t": round(now, 9), "seq": self._rec_seq, "kind": "deliver",
-                "src": src, "dst": dst, "msg": wire.kind(), "latency": round(now - sent_at, 9),
-            })
+            self._record(
+                "deliver", src=src, dst=dst, msg=wire.kind(),
+                latency=round(self.now - sent_at, 9),
+            )
         machine = node.machine
         if machine is None:
             return

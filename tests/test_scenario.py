@@ -340,6 +340,7 @@ class TestRanges:
             ("consensus.min_block_interval_s", -0.1),
             ("workload.tx_rate_per_uav", -1.0),
             ("workload.payload_bits", -1),
+            ("workload.payload_bits", 0),
             ("fleet.rescue.stake_jitter", 1.5),
             ("run.extra_delay_jitter_s", -0.1),
             ("consensus.n_validators", 3),
@@ -423,6 +424,12 @@ class TestCodeBuiltNonFinite:
         with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
             WorkloadParams(**{name: bad})
 
+    # `Transaction` takes no empty payload; the scenario rejects it by name
+    # before a run's setup would fail on it.
+    def test_workload_empty_payload(self):
+        with pytest.raises(ScenarioError, match="payload_bits must be a finite number > 0"):
+            WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
+
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
     def test_workload_bool(self, name, flag):
@@ -431,7 +438,7 @@ class TestCodeBuiltNonFinite:
 
     def test_finite_values_still_construct(self):
         replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
-        WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
+        WorkloadParams(tx_rate_per_uav=0.0, payload_bits=1)
         WorkloadParams(tx_rate_per_uav=1e300, payload_bits=10**9)
         AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4)
         MobilityConfig(v_max=1e300, a_max=1e-300, dt=1e-6, waypoint_arrival_radius=1e6)
