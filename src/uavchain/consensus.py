@@ -22,9 +22,9 @@ the three phases safe across view changes:
 
 Every transition is a pure function of (state, message, validator set,
 clock, protocol config): ``handle_message`` returns a new state (or, for a
-stale message, its input) and never mutates its input.  Vote tallies are
-keyed sets of distinct senders, so the final state is independent of
-message arrival order.
+stale or rejected message, its input) and never mutates its input.  Vote
+tallies are keyed sets of distinct senders, so the final state is
+independent of message arrival order.
 
 Two baseline protocols share the machine: pure-DPoS commits on the
 proposer's block plus a simple majority of acknowledgments in a single
@@ -347,10 +347,6 @@ class ConsensusState:
     timeout_deadline: float = 0.0
     timeouts_since_commit: int = 0
 
-    invalid_signature_count: int = 0
-    unknown_sender_count: int = 0
-    invalid_block_count: int = 0
-
     settled: Optional[ValidatorSet] = field(default=None, compare=False, repr=False)
 
     def copy(self) -> "ConsensusState":
@@ -396,6 +392,9 @@ class HandleResult(NamedTuple):
     state: ConsensusState
     outbound: list[ConsensusMessage]
     committed: list[Block]
+    # One counter name per message the call discarded: "invalid_signature",
+    # "unknown_sender" or "invalid_block".  The caller keeps the counts.
+    discarded: list[str]
 
 
 def create_block(state: ConsensusState, max_txs: int) -> Block:
@@ -436,35 +435,36 @@ def handle_message(
     now: float,
     cfg: ProtocolConfig,
 ) -> HandleResult:
-    """Apply one message; returns (new state, outbound messages, commits).
+    """Apply one message; returns (new state, outbound messages, commits,
+    discards).
 
-    Messages that fail signature verification or come from outside the
-    validator set are discarded and counted.  Stale (lower height or view)
-    and duplicate messages leave the protocol state unchanged; a message
-    below the node's height returns the input state itself.
+    ``discarded`` names the counter of each message the call throws away:
+    one that fails signature verification or comes from outside the
+    validator set (the call then returns the input state itself), and each
+    pre-prepare, current or replayed from the future buffer, whose block
+    does not extend the node's tip.  Stale (lower height or view) and
+    duplicate messages leave the protocol state unchanged; a message below
+    the node's height returns the input state itself.
     """
     outbound: list[ConsensusMessage] = []
     committed: list[Block] = []
+    discarded: list[str] = []
 
     if not msg.verifies():
-        r = state.copy()
-        r.invalid_signature_count += 1
-        return HandleResult(r, outbound, committed)
+        return HandleResult(state, outbound, committed, ["invalid_signature"])
     if msg.sender not in vset.ids:
-        r = state.copy()
-        r.unknown_sender_count += 1
-        return HandleResult(r, outbound, committed)
+        return HandleResult(state, outbound, committed, ["unknown_sender"])
 
     h = _body_height(msg)
     if h < state.height:
-        return HandleResult(state, outbound, committed)
+        return HandleResult(state, outbound, committed, discarded)
     r = state.copy()
     if h > r.height:
         if h - r.height <= FUTURE_WINDOW:
             r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}
-        return HandleResult(r, outbound, committed)
+        return HandleResult(r, outbound, committed, discarded)
 
-    _ingest(r, msg)
+    _ingest(r, msg, discarded)
     body = msg.body
     kind = type(body)
     if r.settled is vset and (kind is Prepare or kind is Commit):
@@ -472,19 +472,19 @@ def handle_message(
         # settled state (see ``ConsensusState.settled``).
         votes = r.prepare_votes if kind is Prepare else r.commit_votes
         if len(votes.get((body.block_hash, body.view), ())) < cfg.commit_quorum(vset.n):
-            return HandleResult(r, outbound, committed)
-    _advance(r, vset, cfg, now, outbound, committed)
+            return HandleResult(r, outbound, committed, discarded)
+    _advance(r, vset, cfg, now, outbound, committed, discarded)
     r.settled = vset
-    return HandleResult(r, outbound, committed)
+    return HandleResult(r, outbound, committed, discarded)
 
 
-def _ingest(r: ConsensusState, msg: ConsensusMessage) -> None:
+def _ingest(r: ConsensusState, msg: ConsensusMessage, discarded: list[str]) -> None:
     """Record a current-height message into the state's tallies and stores."""
     body = msg.body
     if isinstance(body, PrePrepare):
         block = body.block
         if not block_is_valid(block, r.tip.block_hash, r.height):
-            r.invalid_block_count += 1
+            discarded.append("invalid_block")
             return
         # Proposals are attributed to the broadcasting sender: a new proposer
         # may relay a locked block verbatim, so block.proposer (its original
@@ -527,6 +527,7 @@ def _apply_commit(
     now: float,
     cfg: ProtocolConfig,
     committed: list[Block],
+    discarded: list[str],
 ) -> None:
     committed.append(block)
     r.committed_chain = r.committed_chain + (block,)
@@ -550,7 +551,7 @@ def _apply_commit(
     replay = r.future.get(r.height, ())
     r.future = {h: msgs for h, msgs in r.future.items() if h > r.height}
     for buffered in replay:
-        _ingest(r, buffered)
+        _ingest(r, buffered, discarded)
 
 
 def _prepare_vote(
@@ -571,12 +572,12 @@ def _prepare_vote(
 
 def _commit_on_quorum(
     r: ConsensusState, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
-    now: float, cfg: ProtocolConfig, committed: list[Block],
+    now: float, cfg: ProtocolConfig, committed: list[Block], discarded: list[str],
 ) -> bool:
     """Commit the first stored block whose tally in ``votes`` reaches quorum."""
     for (block_hash, _view), senders in votes.items():
         if len(senders) >= quorum and block_hash in r.blocks:
-            _apply_commit(r, r.blocks[block_hash], now, cfg, committed)
+            _apply_commit(r, r.blocks[block_hash], now, cfg, committed, discarded)
             return True
     return False
 
@@ -588,6 +589,7 @@ def _advance(
     now: float,
     outbound: list[ConsensusMessage],
     committed: list[Block],
+    discarded: list[str],
 ) -> None:
     """Run every enabled transition to a fixpoint.
 
@@ -604,13 +606,13 @@ def _advance(
             # Single acknowledgment round: proposer's block commits on a
             # simple majority of distinct acks.
             voted = _prepare_vote(r, vset, cfg, outbound)
-            acked = _commit_on_quorum(r, r.prepare_votes, quorum, now, cfg, committed)
+            acked = _commit_on_quorum(r, r.prepare_votes, quorum, now, cfg, committed, discarded)
             changed = voted or acked
             continue
 
         # Commit certificate: a commit quorum for a stored block wins
         # outright, whatever view this node is in.
-        if _commit_on_quorum(r, r.commit_votes, quorum, now, cfg, committed):
+        if _commit_on_quorum(r, r.commit_votes, quorum, now, cfg, committed, discarded):
             changed = True
             continue
 

@@ -96,9 +96,10 @@ class MetricsReport:
 def build_hurricane_scenario(overrides: Optional[dict[str, Any]] = None) -> Scenario:
     """The reference hurricane-response experiment with optional overrides.
 
-    Overrides use flat keys (``duration_s``, ``tx_rate_per_uav`` ...) or
-    dotted section paths (``consensus.n_validators``); unknown keys raise
-    InvalidOverride.
+    Overrides are dotted paths into the scenario document
+    (``consensus.n_validators``); a key without a dot names a field of its
+    ``run`` section (``duration_s``, ``trace_detail`` ...).  Unknown keys
+    raise InvalidOverride.
     """
     scenario = Scenario(
         area=AreaBounds(0.0, 25_000.0, 0.0, 25_000.0, 50.0, 500.0),
@@ -141,11 +142,11 @@ def build_desk_scenario(overrides: Optional[dict[str, Any]] = None) -> Scenario:
         "consensus.n_validators": 20,
         "consensus.weights": [0.4, 0.2, 0.2, 0.2],
         "consensus.min_block_interval_s": 0.25,
-        "tx_rate_per_uav": 0.2,
+        "workload.tx_rate_per_uav": 0.2,
         # Heavy imagery payloads: block transmission dominates the round, so
         # the all-node baseline (whose quorum always crosses the slow far
         # links) runs round-bound while the elected set stays pacing-bound.
-        "payload_bits": 1_000_000,
+        "workload.payload_bits": 1_000_000,
         "duration_s": 60.0,
     }
     if overrides:
@@ -153,33 +154,11 @@ def build_desk_scenario(overrides: Optional[dict[str, Any]] = None) -> Scenario:
     return build_hurricane_scenario(base)
 
 
-# Flat override aliases into the serialized scenario document.
-_FLAT_OVERRIDES = {
-    "duration_s": ("run", "duration_s"),
-    "trace_detail": ("run", "trace_detail"),
-    "extra_delay_jitter_s": ("run", "extra_delay_jitter_s"),
-    "proc_latency_s": ("run", "proc_latency_s"),
-    "service_rate_msgs_per_s": ("run", "service_rate_msgs_per_s"),
-    "tx_rate_per_uav": ("workload", "tx_rate_per_uav"),
-    "payload_bits": ("workload", "payload_bits"),
-    "n_validators": ("consensus", "n_validators"),
-    "policy": ("consensus", "policy"),
-    "timeout_s": ("consensus", "timeout_s"),
-    "max_txs_per_block": ("consensus", "max_txs_per_block"),
-    "min_block_interval_s": ("consensus", "min_block_interval_s"),
-    "noise_power_w": ("radio", "noise_power_w"),
-    "bandwidth_hz": ("radio", "bandwidth_hz"),
-}
-
-
 def apply_overrides(scenario: Scenario, overrides: dict[str, Any]) -> Scenario:
     doc = scenario_to_dict(scenario)
     for key, value in overrides.items():
-        if key in _FLAT_OVERRIDES:
-            section, name = _FLAT_OVERRIDES[key]
-            doc[section][name] = value
-            continue
-        parts = key.split(".")
+        # A key without a dot names a field of the `run` section.
+        parts = key.split(".") if "." in key else ["run", key]
         cursor: Any = doc
         try:
             for part in parts[:-1]:

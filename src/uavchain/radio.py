@@ -86,10 +86,12 @@ class NodeServiceProfile:
     service_rate_msgs_per_s: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.service_rate_msgs_per_s <= 0:
-            raise ValueError("service_rate_msgs_per_s must be > 0")
-        if self.proc_latency_s < 0:
-            raise ValueError("proc_latency_s must be >= 0")
+        # A NaN or infinite latency delivers nothing, and a document takes
+        # no non-finite number, so a profile built in code takes none either.
+        if not 0 < self.service_rate_msgs_per_s < math.inf:
+            raise ValueError("service_rate_msgs_per_s must be a finite number > 0")
+        if not 0 <= self.proc_latency_s < math.inf:
+            raise ValueError("proc_latency_s must be a finite number >= 0")
 
 
 def dbi_to_linear(gain_dbi: float) -> float:

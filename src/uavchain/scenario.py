@@ -62,8 +62,8 @@ class ClusterSpec:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ScenarioError("cluster count must be non-negative")
-        if self.stake < 0:
-            raise ScenarioError("cluster stake must be non-negative")
+        if not 0 <= self.stake < math.inf:
+            raise ScenarioError("cluster stake must be a finite number >= 0")
         if not 0 <= self.stake_jitter <= 1:
             raise ScenarioError("stake_jitter must lie in [0, 1], or a stake can turn negative")
 
@@ -85,16 +85,19 @@ class ConsensusParams:
         # Fewer than 4 validators tolerate no byzantine node, and election
         # refuses them.  A negative message size runs the simulated clock
         # backwards, a negative block size drops mempool entries, and a
-        # deadline that never moves past the clock stops it.
+        # deadline that never moves past the clock stops it.  A NaN interval
+        # or timeout compares false, so it would skip pacing or deadlines.
         if self.n_validators < 4:
             raise ScenarioError("n_validators must be >= 4")
-        for name in ("max_txs_per_block", "min_block_interval_s", "vote_bits", "header_bits"):
+        for name in ("max_txs_per_block", "vote_bits", "header_bits"):
             if getattr(self, name) < 0:
                 raise ScenarioError(f"{name} must be >= 0")
-        if self.timeout_s <= 0:
-            raise ScenarioError("timeout_s must be > 0")
-        if self.timeout_backoff < 1:
-            raise ScenarioError("timeout_backoff must be >= 1")
+        if not 0 <= self.min_block_interval_s < math.inf:
+            raise ScenarioError("min_block_interval_s must be a finite number >= 0")
+        if not 0 < self.timeout_s < math.inf:
+            raise ScenarioError("timeout_s must be a finite number > 0")
+        if not 1 <= self.timeout_backoff < math.inf:
+            raise ScenarioError("timeout_backoff must be a finite number >= 1")
         if self.reelect_every_blocks < 1:
             raise ScenarioError("reelect_every_blocks must be >= 1")
 

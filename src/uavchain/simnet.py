@@ -553,6 +553,8 @@ class Simulation:
         old = node.machine
         vset = self.vset
         node.machine = result.state
+        for name in result.discarded:
+            self.counters[name] += 1
         for block in result.committed:
             self._note_commit(node_id, block)
         if result.state.view != old.view:
@@ -830,13 +832,6 @@ class Simulation:
         return stats
 
     def _finalize(self) -> None:
-        for node_id in sorted(self.nodes):
-            machine = self.nodes[node_id].machine
-            if machine is None:
-                continue
-            self.counters["invalid_signature"] += machine.invalid_signature_count
-            self.counters["unknown_sender"] += machine.unknown_sender_count
-            self.counters["invalid_block"] += machine.invalid_block_count
         # Conservation: the messages still pending arrival or waiting in an
         # inbox are every message sent and not yet delivered or dropped.
         in_flight = sum(len(node.inbox) for node in self.nodes.values()) + sum(

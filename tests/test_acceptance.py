@@ -3,6 +3,7 @@ PASS line with its measured margin.  Run with `pytest tests/test_acceptance.py -
 to see the lines; the whole suite stays within a few minutes on a laptop.
 """
 
+import functools
 import itertools
 import random
 
@@ -299,12 +300,20 @@ def test_criterion_5_protocol_comparison_direction():
     )
 
 
+@functools.cache
+def _fault_free_hurricane_report(seed):
+    """The default hurricane scenario, hybrid, with no faults.  Criterion 6's
+    baseline is criterion 7's seed 3, so that 30-s run is made once."""
+    report, _ = run_experiment(build_hurricane_scenario(), ProtocolKind.HYBRID, FaultPlan(), seed)
+    return report
+
+
 def test_criterion_6_attack_resilience():
     """Under the canonical attack plan (within byzantine tolerance) the
     same-seed throughput degradation stays <= 10% and safety still holds."""
     scn = build_hurricane_scenario()
     seed = 3
-    baseline, _ = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), seed)
+    baseline = _fault_free_hurricane_report(seed)
     plan = canonical_fault_plan(scn, seed)
     f = byzantine_tolerance(scn.consensus.n_validators)
     assert len(plan.byzantine) <= f
@@ -324,12 +333,11 @@ def test_criterion_7_group_latency_direction():
     """In the default hurricane scenario the rescue cluster's median commit
     latency exceeds the connectivity cluster's by >= 5%, and the three-group
     ANOVA is significant (p < 0.05) on >= 4 of 5 seeds."""
-    scn = build_hurricane_scenario()
     seeds = [1, 2, 3, 4, 5]
     margins = []
     significant = 0
     for seed in seeds:
-        report, _ = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), seed)
+        report = _fault_free_hurricane_report(seed)
         conn = report.per_group["connectivity"].median
         rescue = report.per_group["rescue"].median
         margins.append(100 * (rescue - conn) / conn)

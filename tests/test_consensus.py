@@ -379,21 +379,23 @@ class TestHandleMessage:
         state = initial_state(0, 0.0, self.cfg)
         bad = forged_message(2, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, bad, self.vset, 0.0, self.cfg)
-        assert result.state.invalid_signature_count == 1
+        assert result.discarded == ["invalid_signature"]
+        assert result.state is state
         assert result.state.prepare_votes == {}
 
     def test_unknown_sender_discarded_and_counted(self):
         state = initial_state(0, 0.0, self.cfg)
         msg = signed_message(99, Prepare(genesis_block().block_hash, 1, 0))
         result = handle_message(state, msg, self.vset, 0.0, self.cfg)
-        assert result.state.unknown_sender_count == 1
+        assert result.discarded == ["unknown_sender"]
+        assert result.state is state
 
     def test_invalid_block_rejected(self):
         state = initial_state(0, 0.0, self.cfg)
         bad_block = make_block(1, bytes(32), self.proposer, 0, ())  # wrong parent
         msg = signed_message(self.proposer, PrePrepare(bad_block))
         result = handle_message(state, msg, self.vset, 0.0, self.cfg)
-        assert result.state.invalid_block_count == 1
+        assert result.discarded == ["invalid_block"]
         assert result.outbound == []
 
     def test_purity_input_state_unchanged(self):

@@ -164,4 +164,4 @@ def test_events_jsonl_is_the_hashed_trace(tmp_path):
     summary = json.loads(paths["summary"].read_text(encoding="utf-8"))
     events_hash = hashlib.sha256(paths["events"].read_bytes()).hexdigest()
     assert events_hash == report.trace_hash == summary["metrics"]["trace_hash"]
-    assert events_hash == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"
+    assert events_hash == "d784629ed9a70c3b0fc7b91f252116b001026ad261d3cea1afe4a4dcdf52a290"

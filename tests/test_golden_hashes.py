@@ -47,7 +47,7 @@ def test_canonical_attack_full_trace_hash():
         for r in result.trace.records if r["kind"] == "view_adopted"
     ]
     assert len(adopted) == len(set(adopted))
-    assert result.trace_hash() == "445dd7cfbf1c1fb14b0d8a9bf94d6c20aa997d7b677513d324f3f16e502b7fd5"
+    assert result.trace_hash() == "d784629ed9a70c3b0fc7b91f252116b001026ad261d3cea1afe4a4dcdf52a290"
 
 
 CANONICAL_ATTACK_BASELINES = {

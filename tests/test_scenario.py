@@ -430,6 +430,25 @@ class TestCodeBuiltNonFinite:
         with pytest.raises(ScenarioError, match="payload_bits must be a finite number > 0"):
             WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
 
+    # A NaN timeout or block interval compares false, so it skips deadlines
+    # or block pacing; a NaN or infinite processing latency delivers nothing.
+    @NON_FINITE
+    @pytest.mark.parametrize("name", ["timeout_s", "timeout_backoff", "min_block_interval_s"])
+    def test_consensus_params(self, name, bad):
+        with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
+            ConsensusParams(**{name: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize("name", [f.name for f in fields(NodeServiceProfile)])
+    def test_service_profile(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+            NodeServiceProfile(**{name: bad})
+
+    @NON_FINITE
+    def test_cluster_stake(self, bad):
+        with pytest.raises(ScenarioError, match="stake must be a finite number"):
+            ClusterSpec(4, Region(0.0, 1.0, 0.0, 1.0), stake=bad)
+
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
     def test_workload_bool(self, name, flag):
@@ -471,6 +490,15 @@ class TestOverrides:
             with pytest.raises(InvalidOverride) as err:
                 build_hurricane_scenario({key: True})
             assert err.value.key == key
+
+    def test_bare_key_names_a_run_field(self):
+        # A key without a dot is looked up in `run` only; a field of another
+        # section takes its dotted path.
+        scn = build_hurricane_scenario({"proc_latency_s": 0.002, "trace_detail": "full"})
+        assert scn.service.proc_latency_s == 0.002 and scn.trace_detail == "full"
+        with pytest.raises(InvalidOverride) as err:
+            build_hurricane_scenario({"n_validators": 8})
+        assert err.value.key == "n_validators"
 
     def test_unknown_dotted_override(self):
         with pytest.raises(InvalidOverride):

@@ -375,6 +375,18 @@ class TestDdos:
         # target's queue saw real load
         assert result.queue_stats[0]["mean_wait_s"] > 0
 
+    def test_every_delivered_junk_message_is_counted(self):
+        # The golden attack run of test_golden_hashes.py: state transfer
+        # replaces the state of validators that have discarded junk, and
+        # the count keeps every discard made before it.
+        scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
+        result = run(scn, canonical_fault_plan(scn, 2), ProtocolKind.HYBRID, 2)
+        assert len(result.trace.by_kind("sync")) == 4
+        junk = [r for r in result.trace.by_kind("deliver") if r["src"] == simnet.ATTACKER_ID]
+        assert len(junk) == 3301
+        assert result.counters["invalid_signature"] == len(junk)
+        assert result.trace.by_kind("end")[-1]["counters"] == result.counters
+
     def test_queue_grows_during_saturating_flood(self):
         # Flood at the service rate on top of normal traffic pushes the
         # target's measured wait well past its pre-attack baseline.
