@@ -113,9 +113,11 @@ class ScoreWeights:
     w4: float = 0.25
 
     def __post_init__(self) -> None:
+        # A NaN or infinite weight normalizes the others to NaN, and a
+        # document carries neither it nor a bool.
         vals = (self.w1, self.w2, self.w3, self.w4)
-        if any(w < 0 for w in vals):
-            raise ValueError("weights must be non-negative")
+        if any(isinstance(w, bool) or not 0 <= w < math.inf for w in vals):
+            raise ValueError("weights must be finite numbers >= 0, not bools")
         total = sum(vals)
         if total <= 0:
             raise ValueError("weights must not all be zero")
@@ -311,12 +313,17 @@ class ConsensusState:
     ``settled`` is the validator set under which ``_advance`` last ran this
     state to its fixpoint, or None; a state runs under one
     ``ProtocolConfig``.  While it ``is`` the caller's set, a Prepare or
-    Commit whose tally stays below ``commit_quorum`` (the least threshold
-    any tally transition reads) enables nothing, so ``handle_message``
-    records it and skips ``_advance``.  Invariant: any write to a state
-    outside a transition must clear ``settled``, as ``on_timeout`` does; a
-    state fresh from ``initial_state`` has none.  The mempool is exempt,
-    since no transition reads it to fire.
+    Commit enables a transition only if it brings its tally to exactly
+    ``commit_quorum``, the one threshold any prepare or commit transition
+    reads.  Below it nothing fires.  Above it, the fixpoint has already
+    locked, commit-voted or committed every stored block whose tally
+    reached quorum, a vote adds at most one, and a block stored later
+    arrives in a PrePrepare, which always runs ``_advance``.  So
+    ``handle_message`` records any other vote and skips ``_advance``.
+    Invariant: any write to a state outside a transition must clear
+    ``settled``, as ``on_timeout`` does; a state fresh from
+    ``initial_state`` has none.  The mempool is exempt, since no transition
+    reads it to fire.
     """
 
     node: NodeId
@@ -351,7 +358,7 @@ class ConsensusState:
 
     def copy(self) -> "ConsensusState":
         c = ConsensusState.__new__(ConsensusState)
-        c.__dict__.update(self.__dict__)
+        c.__dict__ = self.__dict__.copy()
         return c
 
     @property
@@ -413,19 +420,25 @@ def proposal_for_turn(state: ConsensusState, cfg: ProtocolConfig) -> Block:
     return create_block(state, cfg.max_txs_per_block)
 
 
-def _body_height(msg: ConsensusMessage) -> int:
-    body = msg.body
-    if isinstance(body, PrePrepare):
-        return body.block.height
-    return body.height
-
-
 def _add_vote(table: dict, key, sender: NodeId) -> dict:
     """``table`` with ``sender`` among the voters for ``key`` (unchanged if already)."""
     existing = table.get(key, frozenset())
     if sender in existing:
         return table
     return {**table, key: existing | {sender}}
+
+
+def _ingest_vote(r: ConsensusState, body: Prepare | Commit, sender: NodeId) -> int:
+    """Record a current-height Prepare or Commit in its tally; returns the
+    tally's size, or 0 for a vote below the node's view, which is dropped."""
+    if body.view < r.view:
+        return 0
+    key = (body.block_hash, body.view)
+    if type(body) is Prepare:
+        votes = r.prepare_votes = _add_vote(r.prepare_votes, key, sender)
+    else:
+        votes = r.commit_votes = _add_vote(r.commit_votes, key, sender)
+    return len(votes[key])
 
 
 def handle_message(
@@ -455,7 +468,9 @@ def handle_message(
     if msg.sender not in vset.ids:
         return HandleResult(state, outbound, committed, ["unknown_sender"])
 
-    h = _body_height(msg)
+    body = msg.body
+    kind = type(body)
+    h = body.block.height if kind is PrePrepare else body.height
     if h < state.height:
         return HandleResult(state, outbound, committed, discarded)
     r = state.copy()
@@ -464,15 +479,15 @@ def handle_message(
             r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}
         return HandleResult(r, outbound, committed, discarded)
 
-    _ingest(r, msg, discarded)
-    body = msg.body
-    kind = type(body)
-    if r.settled is vset and (kind is Prepare or kind is Commit):
-        # A vote that leaves its tally short of quorum enables nothing in a
-        # settled state (see ``ConsensusState.settled``).
-        votes = r.prepare_votes if kind is Prepare else r.commit_votes
-        if len(votes.get((body.block_hash, body.view), ())) < cfg.commit_quorum(vset.n):
+    if kind is Prepare or kind is Commit:
+        tally = _ingest_vote(r, body, msg.sender)
+        # In a settled state only a vote that brings its tally to exactly
+        # ``commit_quorum`` can enable a transition (see
+        # ``ConsensusState.settled``).
+        if r.settled is vset and tally != cfg.commit_quorum(vset.n):
             return HandleResult(r, outbound, committed, discarded)
+    else:
+        _ingest(r, msg, discarded)
     _advance(r, vset, cfg, now, outbound, committed, discarded)
     r.settled = vset
     return HandleResult(r, outbound, committed, discarded)
@@ -494,12 +509,8 @@ def _ingest(r: ConsensusState, msg: ConsensusMessage, discarded: list[str]) -> N
         attributed = r.proposals.get(msg.sender, ())
         if block.block_hash not in attributed:
             r.proposals = {**r.proposals, msg.sender: attributed + (block.block_hash,)}
-    elif isinstance(body, Prepare):
-        if body.view >= r.view:
-            r.prepare_votes = _add_vote(r.prepare_votes, (body.block_hash, body.view), msg.sender)
-    elif isinstance(body, Commit):
-        if body.view >= r.view:
-            r.commit_votes = _add_vote(r.commit_votes, (body.block_hash, body.view), msg.sender)
+    elif isinstance(body, (Prepare, Commit)):
+        _ingest_vote(r, body, msg.sender)
     elif isinstance(body, ViewChange):
         if body.new_view > r.view:
             r.view_change_votes = _add_vote(r.view_change_votes, body.new_view, msg.sender)

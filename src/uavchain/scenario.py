@@ -87,19 +87,23 @@ class ConsensusParams:
         # backwards, a negative block size drops mempool entries, and a
         # deadline that never moves past the clock stops it.  A NaN interval
         # or timeout compares false, so it would skip pacing or deadlines.
-        if self.n_validators < 4:
-            raise ScenarioError("n_validators must be >= 4")
-        for name in ("max_txs_per_block", "vote_bits", "header_bits"):
-            if getattr(self, name) < 0:
-                raise ScenarioError(f"{name} must be >= 0")
+        # A document carries each count as an integer: a float, NaN or
+        # infinity would build a run whose summary does not replay.
+        for name, least in (
+            ("n_validators", 4), ("max_txs_per_block", 0), ("reelect_every_blocks", 1),
+            ("vote_bits", 0), ("header_bits", 0),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an int, got {value!r}")
+            if value < least:
+                raise ScenarioError(f"{name} must be >= {least}")
         if not 0 <= self.min_block_interval_s < math.inf:
             raise ScenarioError("min_block_interval_s must be a finite number >= 0")
         if not 0 < self.timeout_s < math.inf:
             raise ScenarioError("timeout_s must be a finite number > 0")
         if not 1 <= self.timeout_backoff < math.inf:
             raise ScenarioError("timeout_backoff must be a finite number >= 1")
-        if self.reelect_every_blocks < 1:
-            raise ScenarioError("reelect_every_blocks must be >= 1")
 
     def protocol_config(self, kind: ProtocolKind, seed: int) -> ProtocolConfig:
         return ProtocolConfig(

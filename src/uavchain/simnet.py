@@ -551,26 +551,33 @@ class Simulation:
     def _absorb_result(self, node_id: NodeId, result: cons.HandleResult) -> None:
         node = self.nodes[node_id]
         old = node.machine
+        state = node.machine = result.state
+        # Most results only add a vote to a tally: nothing below would act.
+        if (
+            not (result.committed or result.outbound or result.discarded)
+            and state.view == old.view
+            and state.timeout_deadline == old.timeout_deadline
+        ):
+            return
         vset = self.vset
-        node.machine = result.state
         for name in result.discarded:
             self.counters[name] += 1
         for block in result.committed:
             self._note_commit(node_id, block)
-        if result.state.view != old.view:
+        if state.view != old.view:
             self.counters["view_changes"] += 1
             self._record(
                 "view_adopted", node=node_id, height=old.height,
-                old_view=old.view, new_view=result.state.view,
+                old_view=old.view, new_view=state.view,
             )
             self._note_failed_proposer(old.height, old.view)
-        if result.state.timeout_deadline != old.timeout_deadline:
+        if state.timeout_deadline != old.timeout_deadline:
             self._arm_timeout(node_id)
         if result.outbound:
             self._broadcast(node_id, result.outbound)
         if self.vset is not vset:  # re-elected, possibly reordering members
             self._schedule_proposer_duty(self.vset.ordered_ids)
-        elif result.committed or result.state.view != old.view:
+        elif result.committed or state.view != old.view:
             self._schedule_proposer_duty((node_id,))
 
     def _note_commit(self, node_id: NodeId, block: Block) -> None:

@@ -450,9 +450,13 @@ class TestHandleMessage:
 
 
 class TestSettledVotes:
-    """A vote that leaves its tally short of quorum skips ``_advance`` in a
-    settled state.  The oracle is the same call on the same state with its
-    ``settled`` record cleared, which always runs the full fixpoint."""
+    """In a settled state, a vote skips ``_advance`` unless it brings its
+    tally to exactly ``commit_quorum``: a tally below quorum enables nothing,
+    and one past it was certified when the state settled.  The oracle is the
+    same call on the same state with its ``settled`` record cleared, which
+    always runs the full fixpoint.  Skipping also at a tally of exactly
+    quorum (``<=`` for ``!=``) fails all four cases below; skipping only
+    below quorum (``<``) fails the past-quorum count at n >= 4."""
 
     @staticmethod
     def _reordered(vset):
@@ -500,7 +504,7 @@ class TestSettledVotes:
     def test_results_match_the_full_fixpoint(self, n, trials, monkeypatch):
         advance, runs = consensus._advance, []
         monkeypatch.setattr(consensus, "_advance", lambda *args: runs.append(1) or advance(*args))
-        skipped = 0
+        skipped = past_quorum = 0
         for trial in range(trials):
             rng = random.Random(trial)
             vset = vset_of(n)
@@ -519,14 +523,25 @@ class TestSettledVotes:
                     state, _ = on_timeout(state, now, CFG)
                 cleared = state.copy()
                 cleared.settled = None
+                # The tally a recorded vote lands on (a vote below the
+                # node's view is dropped, whatever its tally).
+                tally = 0
+                body = msg.body
+                if isinstance(body, (Prepare, Commit)) and body.view >= state.view:
+                    votes = state.prepare_votes if isinstance(body, Prepare) else state.commit_votes
+                    tally = len(votes.get((body.block_hash, body.view), ()))
                 before = len(runs)
                 got = handle_message(state, msg, vset, now, CFG)
                 got_runs = len(runs) - before
                 want = handle_message(cleared, msg, vset, now, CFG)
                 assert got == want
-                skipped += got_runs == 0 and len(runs) - before == 1
+                skip = got_runs == 0 and len(runs) - before == 1
+                skipped += skip
+                past_quorum += skip and tally >= quorum_threshold(n)
                 state = got.state
         assert skipped > 0
+        # Votes that land on a tally already at quorum skip the fixpoint too.
+        assert n < 4 or past_quorum > 0
 
 
 class TestViewChange:

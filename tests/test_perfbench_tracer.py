@@ -45,6 +45,8 @@ def test_tracer_wraps_entry_points_without_changing_the_run():
     for name in (
         "consensus.proposer_for",
         "consensus.handle_message",
+        "consensus.copy",
+        "domain.verifies",
         "radio.link_capacity",
         "mobility.step",
         "mobility.steer_to_waypoint",

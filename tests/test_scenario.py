@@ -438,6 +438,27 @@ class TestCodeBuiltNonFinite:
         with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
             ConsensusParams(**{name: bad})
 
+    # A count of float type, even a whole one, is written as `8.0` and read
+    # back refused; a bool is written as `true`.
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 8.0, True], ids=["nan", "inf", "-inf", "float", "bool"]
+    )
+    @pytest.mark.parametrize(
+        "name", ["n_validators", "max_txs_per_block", "reelect_every_blocks", "vote_bits", "header_bits"]
+    )
+    def test_consensus_params_counts(self, name, bad):
+        with pytest.raises(ScenarioError, match=f"{name} must be an int"):
+            ConsensusParams(**{name: bad})
+
+    # A NaN or infinite weight would normalize every weight to NaN.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "-inf", "bool"])
+    @pytest.mark.parametrize("index", range(4))
+    def test_score_weights(self, index, bad):
+        weights = [0.25] * 4
+        weights[index] = bad
+        with pytest.raises(ValueError, match="weights must be finite numbers"):
+            ScoreWeights(*weights)
+
     @NON_FINITE
     @pytest.mark.parametrize("name", [f.name for f in fields(NodeServiceProfile)])
     def test_service_profile(self, name, bad):
@@ -458,6 +479,8 @@ class TestCodeBuiltNonFinite:
     def test_finite_values_still_construct(self):
         replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
         WorkloadParams(tx_rate_per_uav=0.0, payload_bits=1)
+        ConsensusParams(n_validators=4, max_txs_per_block=0, reelect_every_blocks=1, vote_bits=0, header_bits=0)
+        assert ScoreWeights(1, 0, 0, 3) == ScoreWeights(0.25, 0.0, 0.0, 0.75)
         WorkloadParams(tx_rate_per_uav=1e300, payload_bits=10**9)
         AreaBounds(-1e6, 1e6, -1e6, 1e6, 0.0, 1e4)
         MobilityConfig(v_max=1e300, a_max=1e-300, dt=1e-6, waypoint_arrival_radius=1e6)
