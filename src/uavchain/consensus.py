@@ -303,6 +303,12 @@ class ConsensusState:
     in place, as ``d[k] = v`` does, so every table iterates in the same
     order either way.
 
+    A node records each vote it casts (prepare, commit or view change) in
+    its own tally as it casts it, and that entry is the one record that it
+    has voted: it casts no second prepare vote in a view, and no second
+    commit or view-change vote for a key its id is already in.  This needs a
+    node's own messages never to come back to it, which the simulator keeps.
+
     ``mempool`` maps each pending tx id to its transaction in arrival order,
     so its values are the FIFO queue and its keys the dedupe set.
 
@@ -339,11 +345,6 @@ class ConsensusState:
     prepare_votes: dict[VoteKey, frozenset[NodeId]] = field(default_factory=dict)
     commit_votes: dict[VoteKey, frozenset[NodeId]] = field(default_factory=dict)
     view_change_votes: dict[int, frozenset[NodeId]] = field(default_factory=dict)
-
-    # Own-vote bookkeeping for the current height.
-    prepare_sent: dict[int, bytes] = field(default_factory=dict)
-    commit_sent: frozenset[VoteKey] = frozenset()
-    view_change_sent: frozenset[int] = frozenset()
 
     locked_hash: Optional[bytes] = None
     locked_view: int = -1
@@ -551,9 +552,6 @@ def _apply_commit(
     r.prepare_votes = {}
     r.commit_votes = {}
     r.view_change_votes = {}
-    r.prepare_sent = {}
-    r.commit_sent = frozenset()
-    r.view_change_sent = frozenset()
     r.locked_hash = None
     r.locked_view = -1
     r.timeouts_since_commit = 0
@@ -570,12 +568,12 @@ def _prepare_vote(
 ) -> bool:
     """Cast this node's one prepare vote for its current view, if it holds a
     proposal it may vote for."""
-    if r.view in r.prepare_sent:
-        return False
+    for (_digest, view), senders in r.prepare_votes.items():
+        if view == r.view and r.node in senders:
+            return False
     digest = _candidate_hash(r, vset, cfg)
     if digest is None:
         return False
-    r.prepare_sent = {**r.prepare_sent, r.view: digest}
     r.prepare_votes = _add_vote(r.prepare_votes, (digest, r.view), r.node)
     outbound.append(signed_message(r.node, Prepare(digest, r.height, r.view)))
     return True
@@ -639,8 +637,7 @@ def _advance(
                 r.locked_view = view
                 changed = True
             key = (block_hash, view)
-            if key not in r.commit_sent:
-                r.commit_sent = r.commit_sent | {key}
+            if r.node not in r.commit_votes.get(key, ()):
                 r.commit_votes = _add_vote(r.commit_votes, key, r.node)
                 outbound.append(
                     signed_message(r.node, Commit(block_hash, r.height, view))
@@ -652,14 +649,13 @@ def _advance(
         for new_view, senders in sorted(r.view_change_votes.items()):
             if new_view <= r.view:
                 continue
-            if len(senders) >= join_threshold and new_view not in r.view_change_sent:
-                r.view_change_sent = r.view_change_sent | {new_view}
+            if len(senders) >= join_threshold and r.node not in senders:
                 r.view_change_votes = _add_vote(r.view_change_votes, new_view, r.node)
+                senders = r.view_change_votes[new_view]
                 outbound.append(
                     signed_message(r.node, ViewChange(new_view, r.height))
                 )
                 changed = True
-            senders = r.view_change_votes.get(new_view, frozenset())
             if len(senders) >= quorum:
                 r.view = new_view
                 r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
@@ -682,6 +678,5 @@ def on_timeout(
     target = r.view + 1
     r.timeouts_since_commit += 1
     r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
-    r.view_change_sent = r.view_change_sent | {target}
     r.view_change_votes = _add_vote(r.view_change_votes, target, r.node)
     return r, [signed_message(r.node, ViewChange(target, r.height))]

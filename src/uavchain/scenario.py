@@ -60,10 +60,15 @@ class ClusterSpec:
     stake_jitter: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.count < 0:
+        # A document carries the count only as an int, and neither field as a
+        # bool; a scenario built otherwise would fail to run or to replay.
+        count, stake = self.count, self.stake
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise ScenarioError(f"cluster count must be an int, got {count!r}")
+        if count < 0:
             raise ScenarioError("cluster count must be non-negative")
-        if not 0 <= self.stake < math.inf:
-            raise ScenarioError("cluster stake must be a finite number >= 0")
+        if isinstance(stake, bool) or not 0 <= stake < math.inf:
+            raise ScenarioError("cluster stake must be a finite number >= 0, not a bool")
         if not 0 <= self.stake_jitter <= 1:
             raise ScenarioError("stake_jitter must lie in [0, 1], or a stake can turn negative")
 
@@ -125,12 +130,14 @@ class WorkloadParams:
         # An infinite rate draws zero gaps, so workload generation never
         # ends; a NaN payload makes every arrival time NaN; a payload of no
         # bits is no transaction; a bool is no count, and the trace would
-        # write it as `True`, not `true`.
+        # write it as `True`, not `true`; a document carries no float payload.
         rate, bits = self.tx_rate_per_uav, self.payload_bits
         if isinstance(rate, bool) or not 0 <= rate < math.inf:
             raise ScenarioError("tx_rate_per_uav must be a finite number >= 0, not a bool")
         if isinstance(bits, bool) or not 0 < bits < math.inf:
             raise ScenarioError("payload_bits must be a finite number > 0, not a bool")
+        if not isinstance(bits, int):
+            raise ScenarioError(f"payload_bits must be an int, got {bits!r}")
 
 
 @dataclass(frozen=True)

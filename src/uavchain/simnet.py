@@ -49,7 +49,6 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from . import consensus as cons
 from .consensus import (
     ConsensusState,
-    Mission,
     ProtocolConfig,
     ProtocolKind,
     UavProfile,
@@ -69,9 +68,9 @@ from .domain import (
     signed_message,
 )
 from .faults import ByzantineStrategy, FaultPlan
-from .mobility import KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
+from .mobility import AreaBounds, KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
-from .scenario import DeployedUav, Scenario, ScenarioError, deploy_fleet
+from .scenario import Scenario, ScenarioError, deploy_fleet
 
 # Synthetic sender id used by DDoS junk traffic; never part of any fleet.
 ATTACKER_ID: NodeId = 10**9
@@ -132,7 +131,10 @@ class NodeQueue:
 
 @dataclass
 class SimNode:
-    uav: DeployedUav
+    # The live profile: the election reads it, and history updates replace it.
+    profile: UavProfile
+    # The cluster's region at the area's altitude band, where waypoints are drawn.
+    box: AreaBounds
     queue: NodeQueue
     kin: KinematicState
     # The position the network sees: the true one shifted by any spoofing
@@ -146,10 +148,6 @@ class SimNode:
     # Admitted messages awaiting delivery, in admission order, each as
     # (deliver_at, seq, wire, src, sent_at); only the head is on the event queue.
     inbox: deque = field(default_factory=deque)
-
-    @property
-    def mission(self) -> Mission:
-        return self.uav.profile.mission
 
 
 # One trace line is its record as compact JSON with sorted keys.  The encoder
@@ -312,10 +310,10 @@ class Simulation:
         }
 
         self.nodes: dict[NodeId, SimNode] = {}
-        uavs = deploy_fleet(scenario, seed)
-        for uav in uavs:
+        for uav in deploy_fleet(scenario, seed):
             self.nodes[uav.profile.node] = SimNode(
-                uav=uav,
+                profile=uav.profile,
+                box=uav.box,
                 queue=NodeQueue(service_rate=scenario.service.service_rate_msgs_per_s),
                 kin=uav.state,
                 reported=uav.state.position,
@@ -325,11 +323,8 @@ class Simulation:
         if outside:
             raise ScenarioError(f"attack plan names node(s) outside the fleet: {outside}")
 
-        self.profiles: dict[NodeId, UavProfile] = {
-            u.profile.node: u.profile for u in uavs
-        }
         # An empty fleet still runs (mobility only); consensus needs nodes.
-        self.vset: Optional[ValidatorSet] = self._elect() if self.profiles else None
+        self.vset: Optional[ValidatorSet] = self._elect() if self.nodes else None
         if enforce_tolerance and self.vset is not None:
             fault_plan.check_tolerance(self.vset.ids, byzantine_tolerance(self.vset.n))
 
@@ -359,15 +354,15 @@ class Simulation:
     def _elect(self) -> ValidatorSet:
         n = self.scenario.consensus.n_validators
         if self.protocol is ProtocolKind.PURE_PBFT:
-            n = len(self.profiles)
-        profiles = [self.profiles[i] for i in sorted(self.profiles)]
+            n = len(self.nodes)
+        profiles = [self.nodes[i].profile for i in sorted(self.nodes)]
         return cons.elect_validators(profiles, self.scenario.consensus.weights, n)
 
     def _init_waypoints(self) -> None:
         rng = substream(self.seed, "mobility")
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            node.waypoint = sample_waypoint(rng, node.uav.box)
+            node.waypoint = sample_waypoint(rng, node.box)
         self._mobility_rng = rng
 
     def _generate_workload(self) -> None:
@@ -602,17 +597,17 @@ class Simulation:
         if key in self._failed_proposer_logged:
             return
         self._failed_proposer_logged.add(key)
-        failed = self.cfg.proposer_for(self.vset, height, view)
-        self.profiles[failed] = cons.update_history(self.profiles[failed], 0.0)
+        failed = self.nodes[self.cfg.proposer_for(self.vset, height, view)]
+        failed.profile = cons.update_history(failed.profile, 0.0)
 
     def _reelect(self) -> None:
         """Epoch boundary: refresh history scores and re-run the election."""
         if self.protocol is ProtocolKind.PURE_PBFT:
             return
         proposers = {b.proposer for b in self.first_commit.values()}
-        for node_id in self.vset.ids:
-            if node_id in proposers:
-                self.profiles[node_id] = cons.update_history(self.profiles[node_id], 1.0)
+        for node_id in self.vset.ids & proposers:
+            node = self.nodes[node_id]
+            node.profile = cons.update_history(node.profile, 1.0)
         new_set = self._elect()
         if new_set.ids == self.vset.ids:
             self.vset = new_set
@@ -651,7 +646,7 @@ class Simulation:
             kin = node.kin
             accel = steer_to_waypoint(kin, node.waypoint, mob)
             if accel is ZERO:  # arrived: only an arrival returns ZERO itself
-                node.waypoint = sample_waypoint(self._mobility_rng, node.uav.box)
+                node.waypoint = sample_waypoint(self._mobility_rng, node.box)
                 accel = steer_to_waypoint(kin, node.waypoint, mob)
             kin = node.kin = step(kin, accel, mob, area)
             node.reported = apply_spoofing(kin.position, active_spoofs.get(node_id, ZERO))
@@ -664,14 +659,12 @@ class Simulation:
         origin = self.nodes[tx.origin]
         self._record(
             "tx_arrival", tx=tx.tx_id, origin=tx.origin,
-            mission=origin.mission.value, bits=tx.payload_bits,
+            mission=origin.profile.mission.value, bits=tx.payload_bits,
         )
         wire = TxForward(tx)
         validators = self.vset.ordered_ids if self.vset else ()
-        if tx.origin in validators:
-            machine = self.nodes[tx.origin].machine
-            if machine is not None:
-                self.nodes[tx.origin].machine = machine.add_transactions([tx])
+        if origin.machine is not None:  # exactly the validators hold a machine
+            origin.machine = origin.machine.add_transactions([tx])
         self._send(wire, tx.origin, [v for v in validators if v != tx.origin], self._wire_bits(wire))
 
     def _on_arrivals(self, wire: Any, src: NodeId, sent_at: float, arrivals: list) -> None:

@@ -306,7 +306,7 @@ class TestHandleMessage:
         block, msg = self.make_proposal()
         state = initial_state(0, 0.0, self.cfg)
         result = handle_message(state, msg, self.vset, 0.1, self.cfg)
-        assert result.state.prepare_sent == {0: block.block_hash}
+        assert result.state.prepare_votes == {(block.block_hash, 0): frozenset({0})}
         kinds = [type(m.body) for m in result.outbound]
         assert kinds == [Prepare]
         assert result.outbound[0].body.block_hash == block.block_hash
@@ -334,7 +334,7 @@ class TestHandleMessage:
         assert [b.block_hash for b in committed] == [block.block_hash]
         assert state.height == 2
         assert state.committed_chain[-1] == block
-        assert state.prepare_sent == {} and state.locked_hash is None
+        assert state.prepare_votes == {} and state.locked_hash is None
 
     def test_stale_view_message_ignored(self):
         state = initial_state(0, 0.0, self.cfg)
@@ -406,7 +406,6 @@ class TestHandleMessage:
         handle_message(state, msg, self.vset, 0.0, self.cfg)
         assert state.prepare_votes == before_votes
         assert state.height == before_height
-        assert state.prepare_sent == {}
 
     def test_determinism_identical_inputs_identical_outputs(self):
         block, msg = self.make_proposal()
@@ -542,6 +541,50 @@ class TestSettledVotes:
         assert skipped > 0
         # Votes that land on a tally already at quorum skip the fixpoint too.
         assert n < 4 or past_quorum > 0
+
+    @pytest.mark.parametrize("n", [4, 7, 20])
+    def test_own_tally_entries_are_the_votes_cast(self, n):
+        """After every call, node 0's id is in its own tallies at exactly the
+        (hash, view) keys of the Prepares and Commits, and the views of the
+        ViewChanges, that it has emitted at its current height; it emits at
+        most one Prepare per view and one Commit per key.  So the tallies are
+        the node's record of its own votes.  The invariant needs a node's
+        messages never to come back to it, which holds in the simulator (a
+        broadcast goes to every other validator); at n = 1 this traffic has
+        node 0 hear itself, so that size is left out."""
+        for trial in range(60):
+            rng = random.Random(trial)
+            vset = vset_of(n)
+            msgs = self._messages(rng, (vset,))
+            timeout = rng.randrange(len(msgs))
+            state, now, sent = initial_state(0, 0.0, CFG), 0.0, []
+            for i, msg in enumerate(msgs):
+                now += 0.01
+                if i == timeout:
+                    now = max(now, state.timeout_deadline)
+                    state, out = on_timeout(state, now, CFG)
+                    sent += out
+                    self._check_own_votes(state, sent)
+                result = handle_message(state, msg, vset, now, CFG)
+                state = result.state
+                sent += result.outbound
+                self._check_own_votes(state, sent)
+
+    @staticmethod
+    def _check_own_votes(state, sent):
+        bodies = [m.body for m in sent if m.body.height == state.height]
+        prepares = [(b.block_hash, b.view) for b in bodies if type(b) is Prepare]
+        commits = [(b.block_hash, b.view) for b in bodies if type(b) is Commit]
+        view_changes = {b.new_view for b in bodies if type(b) is ViewChange}
+
+        def own(table):
+            return {key for key, senders in table.items() if state.node in senders}
+
+        assert own(state.prepare_votes) == set(prepares)
+        assert own(state.commit_votes) == set(commits)
+        assert own(state.view_change_votes) == view_changes
+        assert len({view for _, view in prepares}) == len(prepares)
+        assert len(set(commits)) == len(commits)
 
 
 class TestViewChange:

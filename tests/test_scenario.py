@@ -470,6 +470,28 @@ class TestCodeBuiltNonFinite:
         with pytest.raises(ScenarioError, match="stake must be a finite number"):
             ClusterSpec(4, Region(0.0, 1.0, 0.0, 1.0), stake=bad)
 
+    # A float count fails in `deploy_fleet` on `range`; a bool one runs, but
+    # `export` cannot write it back as a count.
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, 25.0, True, False],
+        ids=["nan", "inf", "-inf", "float", "true", "false"],
+    )
+    def test_cluster_count(self, bad):
+        with pytest.raises(ScenarioError, match="cluster count must be an int"):
+            ClusterSpec(bad, Region(0.0, 1.0, 0.0, 1.0), stake=1.0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_cluster_stake_bool(self, flag):
+        with pytest.raises(ScenarioError, match="stake must be .*not a bool"):
+            ClusterSpec(4, Region(0.0, 1.0, 0.0, 1.0), stake=flag)
+
+    # A document carries the payload only as an integer, so a float one,
+    # even a whole one, would build a run whose summary does not replay.
+    @pytest.mark.parametrize("bad", [2048.5, 2048.0], ids=["fraction", "whole"])
+    def test_workload_payload_float(self, bad):
+        with pytest.raises(ScenarioError, match="payload_bits must be an int"):
+            WorkloadParams(1.0, bad)
+
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
     def test_workload_bool(self, name, flag):
