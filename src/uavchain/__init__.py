@@ -26,7 +26,6 @@ from .domain import (
     Transaction,
     hash_block,
     sign,
-    validate_block,
     verify,
 )
 from .faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow

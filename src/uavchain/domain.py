@@ -71,26 +71,6 @@ class Block:
         return tuple(tx.tx_id for tx in self.transactions)
 
 
-class BlockValidationError(Exception):
-    """Base class for the distinguishable block-rejection reasons."""
-
-
-class BadHash(BlockValidationError):
-    pass
-
-
-class BadParent(BlockValidationError):
-    pass
-
-
-class BadHeight(BlockValidationError):
-    pass
-
-
-class BadSignature(BlockValidationError):
-    pass
-
-
 def hash_block(
     height: int,
     parent_hash: bytes,
@@ -150,31 +130,17 @@ def genesis_block() -> Block:
     return make_block(0, ZERO_DIGEST, 0, 0, ())
 
 
-def validate_block(block: Block, expected_parent: bytes, expected_height: int) -> None:
-    """Raise a distinguishable error unless the block extends the given tip.
-
-    Checks, in order: recomputed hash, parent linkage, height, proposer
-    signature.  Returns None on success.
-    """
-    recomputed = hash_block(
-        block.height, block.parent_hash, block.proposer, block.view, block.tx_ids()
-    )
-    if recomputed != block.block_hash:
-        raise BadHash(f"block hash mismatch at height {block.height}")
-    if block.parent_hash != expected_parent:
-        raise BadParent(f"parent mismatch at height {block.height}")
-    if block.height != expected_height:
-        raise BadHeight(f"expected height {expected_height}, got {block.height}")
-    if not verify(block.proposer_signature, block.block_hash, block.proposer):
-        raise BadSignature(f"bad proposer signature on block {block.height}")
-
-
 def block_is_valid(block: Block, expected_parent: bytes, expected_height: int) -> bool:
-    try:
-        validate_block(block, expected_parent, expected_height)
-    except BlockValidationError:
-        return False
-    return True
+    """True iff the block extends the tip, hashes to its digest and carries its
+    proposer's signature.  The tip checks come first, so a parent hash of the
+    wrong length is rejected before ``hash_block`` could raise on it."""
+    return (
+        block.parent_hash == expected_parent
+        and block.height == expected_height
+        and block.block_hash
+        == hash_block(block.height, block.parent_hash, block.proposer, block.view, block.tx_ids())
+        and verify(block.proposer_signature, block.block_hash, block.proposer)
+    )
 
 
 # --- consensus message wire format ------------------------------------------

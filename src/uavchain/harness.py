@@ -323,11 +323,8 @@ def run_experiment(
     fault_plan: FaultPlan,
     seed: int,
     baseline: Optional[MetricsReport] = None,
-    enforce_tolerance: bool = True,
 ) -> tuple[MetricsReport, RunResult]:
-    result = run_simulation(
-        scenario, fault_plan, protocol, seed, enforce_tolerance=enforce_tolerance
-    )
+    result = run_simulation(scenario, fault_plan, protocol, seed)
     report = compute_metrics(
         result.trace, protocol=protocol.value, seed=seed, queue_stats=result.queue_stats
     )

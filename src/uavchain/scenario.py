@@ -317,7 +317,8 @@ def _build(cls: type, doc: Any, where: str, **given: Any) -> Any:
 
 
 def _plain(value: Any) -> Any:
-    if type(value) in _SCALARS:
+    # A bool passes as an int, for the field's converter to reject.
+    if isinstance(value, _SCALARS):
         return value
     if isinstance(value, Enum):
         return value.value

@@ -70,7 +70,10 @@ from .domain import (
 from .faults import ByzantineStrategy, FaultPlan
 from .mobility import AreaBounds, KinematicState, Vec3, ZERO, apply_spoofing, sample_waypoint, steer_to_waypoint, step
 from .radio import MIN_LINK_DISTANCE_M, PROPAGATION_SPEED_M_S, link_capacity
-from .scenario import Scenario, ScenarioError, deploy_fleet
+from .scenario import (
+    Scenario, ScenarioError, deploy_fleet,
+    fault_plan_from_dict, fault_plan_to_dict, scenario_from_dict, scenario_to_dict,
+)
 
 # Synthetic sender id used by DDoS junk traffic; never part of any fleet.
 ATTACKER_ID: NodeId = 10**9
@@ -276,6 +279,10 @@ class Simulation:
         seed: int,
         enforce_tolerance: bool = True,
     ) -> None:
+        # Run what the summary will replay: through its documents, an int in
+        # a float field runs as a float and a bool is rejected.
+        scenario = scenario_from_dict(scenario_to_dict(scenario))
+        fault_plan = fault_plan_from_dict(fault_plan_to_dict(fault_plan))
         self.scenario = scenario
         self.plan = fault_plan
         self.protocol = protocol

@@ -247,12 +247,12 @@ class TestCreateBlock:
         assert block.transactions == ()
 
     def test_created_block_validates_against_tip(self):
-        from uavchain.domain import validate_block
+        from uavchain.domain import block_is_valid
 
         state = initial_state(2, 0.0, CFG)
         state = state.add_transactions([Transaction(tx_id=5, origin=0)])
         block = create_block(state, 10)
-        validate_block(block, state.tip.block_hash, state.height)
+        assert block_is_valid(block, state.tip.block_hash, state.height)
 
     def test_max_txs_cap(self):
         state = initial_state(0, 0.0, CFG)
@@ -394,6 +394,15 @@ class TestHandleMessage:
         state = initial_state(0, 0.0, self.cfg)
         bad_block = make_block(1, bytes(32), self.proposer, 0, ())  # wrong parent
         msg = signed_message(self.proposer, PrePrepare(bad_block))
+        result = handle_message(state, msg, self.vset, 0.0, self.cfg)
+        assert result.discarded == ["invalid_block"]
+        assert result.outbound == []
+
+    def test_short_parent_hash_discarded_as_invalid_block(self):
+        state = initial_state(0, 0.0, self.cfg)
+        block, _ = self.make_proposal()
+        short = replace(block, parent_hash=bytes(31))
+        msg = signed_message(self.proposer, PrePrepare(short))
         result = handle_message(state, msg, self.vset, 0.0, self.cfg)
         assert result.discarded == ["invalid_block"]
         assert result.outbound == []

@@ -3,10 +3,6 @@ from dataclasses import replace
 import pytest
 
 from uavchain.domain import (
-    BadHash,
-    BadHeight,
-    BadParent,
-    BadSignature,
     Commit,
     Prepare,
     PrePrepare,
@@ -14,6 +10,7 @@ from uavchain.domain import (
     Transaction,
     ViewChange,
     ZERO_DIGEST,
+    block_is_valid,
     forged_message,
     genesis_block,
     hash_block,
@@ -21,7 +18,6 @@ from uavchain.domain import (
     message_digest,
     sign,
     signed_message,
-    validate_block,
     verify,
 )
 
@@ -77,43 +73,44 @@ class TestSignatures:
 
 
 class TestValidateBlock:
+    """Each invalid block below carries exactly one defect."""
+
     def test_well_formed_block_ok(self):
         genesis = genesis_block()
         block = make_block(1, genesis.block_hash, 2, 0, (_tx(9),))
-        validate_block(block, genesis.block_hash, 1)
+        assert block_is_valid(block, genesis.block_hash, 1)
 
     def test_wrong_parent(self):
         genesis = genesis_block()
         block = make_block(2, genesis.block_hash, 2, 0, ())
-        with pytest.raises(BadParent):
-            validate_block(block, hash_block(1, genesis.block_hash, 2, 0, ()), 2)
+        assert not block_is_valid(block, hash_block(1, genesis.block_hash, 2, 0, ()), 2)
 
     def test_wrong_height(self):
         genesis = genesis_block()
         block = make_block(2, genesis.block_hash, 2, 0, ())
-        with pytest.raises(BadHeight):
-            validate_block(block, genesis.block_hash, 3)
+        assert not block_is_valid(block, genesis.block_hash, 3)
 
     def test_tampered_hash(self):
-        from dataclasses import replace
-
         genesis = genesis_block()
         block = make_block(1, genesis.block_hash, 2, 0, ())
-        broken = replace(block, block_hash=bytes(b ^ 0xFF for b in block.block_hash))
-        with pytest.raises(BadHash):
-            validate_block(broken, genesis.block_hash, 1)
+        fake = bytes(b ^ 0xFF for b in block.block_hash)
+        # Re-signed, so only the hash recomputation can reject it.
+        broken = replace(block, block_hash=fake, proposer_signature=sign(fake, 2))
+        assert not block_is_valid(broken, genesis.block_hash, 1)
 
     def test_cleared_signature_flag(self):
-        from dataclasses import replace
-
         genesis = genesis_block()
         block = make_block(1, genesis.block_hash, 2, 0, ())
         broken = replace(
             block,
             proposer_signature=Signature(signer=2, digest=block.block_hash, valid=False),
         )
-        with pytest.raises(BadSignature):
-            validate_block(broken, genesis.block_hash, 1)
+        assert not block_is_valid(broken, genesis.block_hash, 1)
+
+    def test_short_parent_is_invalid_not_an_error(self):
+        genesis = genesis_block()
+        block = make_block(1, genesis.block_hash, 2, 0, ())
+        assert not block_is_valid(replace(block, parent_hash=bytes(31)), genesis.block_hash, 1)
 
     def test_duplicate_tx_rejected_at_build(self):
         genesis = genesis_block()
@@ -128,7 +125,7 @@ class TestChainIntegrity:
             chain.append(make_block(h, chain[-1].block_hash, h % 3, 0, (_tx(h),)))
         for h in range(1, 6):
             assert chain[h].parent_hash == chain[h - 1].block_hash
-            validate_block(chain[h], chain[h - 1].block_hash, h)
+            assert block_is_valid(chain[h], chain[h - 1].block_hash, h)
 
     def test_genesis_shape(self):
         genesis = genesis_block()

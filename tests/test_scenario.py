@@ -17,6 +17,7 @@ from uavchain.harness import (
 )
 from uavchain.mobility import AreaBounds, MobilityConfig, Vec3
 from uavchain.radio import LinkBudgetParams, NodeServiceProfile
+from uavchain.simnet import Simulation
 from uavchain.scenario import (
     ClusterSpec,
     ConsensusParams,
@@ -509,6 +510,67 @@ class TestCodeBuiltNonFinite:
         LinkBudgetParams(tx_gain_dbi=-3.0, rx_gain_dbi=0.0)
         DdosWindow(1, 0.0, 1e9, 1e6)
         SpoofWindow(1, Vec3(0.0, -0.0, 1e-300), 0.0, 1e9)
+
+
+def _with_bool(scn: Scenario, path: str) -> Scenario:
+    """``scn`` with ``True`` at one dotted field path."""
+    section, _, name = path.rpartition(".")
+    if not section:
+        return replace(scn, **{name: True})
+    if section == "fleet":
+        fleet = {m: replace(spec, **{name: True}) for m, spec in scn.fleet.items()}
+        return replace(scn, fleet=fleet)
+    return replace(scn, **{section: replace(getattr(scn, section), **{name: True})})
+
+
+class TestCodeBuiltRunNormalized:
+    """A run normalizes a code-built scenario and plan through their
+    documents, so what it runs is what its summary replays."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: replace(build_hurricane_scenario({"duration_s": 1.0}), mobility=MobilityConfig(dt=1)),
+            lambda: replace(build_hurricane_scenario({"duration_s": 1.0}), duration_s=1),
+        ],
+        ids=["int_dt", "int_duration"],
+    )
+    def test_int_in_float_field_replays(self, build, tmp_path):
+        scn = build()
+        report, result = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 3)
+        paths = export(report, result, tmp_path, scn, FaultPlan())
+        assert replay(paths["summary"]) == (True, report.trace_hash, report.trace_hash)
+
+    # Each passes its range check as 1, and before normalization `export`
+    # failed on it with a bare TypeError.
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            ("duration_s", "run.duration_s"),
+            ("extra_delay_jitter_s", "run.extra_delay_jitter_s"),
+            ("mobility.dt", "mobility.dt"),
+            ("service.service_rate_msgs_per_s", "run.service_rate_msgs_per_s"),
+            ("radio.tx_power_w", "radio.tx_power_w"),
+            ("consensus.timeout_s", "consensus.timeout_s"),
+            ("fleet.stake_jitter", "fleet.connectivity.stake_jitter"),
+        ],
+    )
+    def test_bool_in_scenario_float_field_rejected(self, path, where):
+        scn = _with_bool(mini_scenario(4), path)
+        with pytest.raises(ScenarioError, match=re.escape(f"{where} must be a finite number, got True")):
+            Simulation(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
+
+    @pytest.mark.parametrize(
+        "plan, where",
+        [
+            (FaultPlan(drop_prob=True), "attacks.drop_prob"),
+            (FaultPlan(ddos=(DdosWindow(0, 0.5, 1.0, True),)), "attacks.ddos.flood_rate_msgs_per_s"),
+        ],
+        ids=["drop_prob", "flood_rate"],
+    )
+    def test_bool_in_plan_float_field_rejected(self, plan, where):
+        with pytest.raises(ScenarioError, match=re.escape(f"{where} must be a finite number, got True")):
+            Simulation(mini_scenario(4), plan, ProtocolKind.HYBRID, 1)
 
 
 class TestOverrides:

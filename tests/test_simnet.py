@@ -10,13 +10,13 @@ import pytest
 
 from uavchain import consensus as cons
 from uavchain import simnet
-from uavchain.consensus import ConsensusState, ProtocolKind
+from uavchain.consensus import ConsensusState, Mission, ProtocolKind
 from uavchain.domain import Commit, Prepare, PrePrepare, genesis_block, signed_message
 from uavchain.faults import ByzantineStrategy, DdosWindow, FaultPlan, SpoofWindow
 from uavchain.harness import build_hurricane_scenario, canonical_fault_plan
-from uavchain.mobility import Vec3
+from uavchain.mobility import MobilityConfig, Vec3
 from uavchain.radio import PROPAGATION_SPEED_M_S, NodeServiceProfile, link_capacity
-from uavchain.scenario import ScenarioError
+from uavchain.scenario import ClusterSpec, Region, ScenarioError
 from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
 from conftest import mini_scenario
@@ -57,6 +57,47 @@ class TestDeterminism:
         # floor plus a positive propagation component.
         floor = scn.service.proc_latency_s
         assert all(r["latency"] > floor for r in delivers)
+
+
+def _arrival_scenario(**mobility):
+    """Four UAVs in a 200-m box, fast enough to reach a waypoint in 2 s."""
+    scn = mini_scenario(4, duration=2.0)
+    box = Region(1_000.0, 1_200.0, 1_000.0, 1_200.0)
+    return replace(
+        scn,
+        fleet={Mission.CONNECTIVITY: ClusterSpec(4, box, stake=1.0)},
+        mobility=MobilityConfig(a_max=40.0, **mobility),
+    )
+
+
+class TestKeysThatMoveARun:
+    """Keys that no other pinned run reaches: each moves a small run's hash."""
+
+    ARRIVAL_HASH = "791fcc8b5caee20b6cadf7dda98f9b9c0b22942294e6249734b374524fa8c0c9"
+
+    def test_waypoint_arrival_run_hash(self, monkeypatch):
+        sim = Simulation(_arrival_scenario(), FaultPlan(), ProtocolKind.HYBRID, 1)
+        draws = []
+        sample = simnet.sample_waypoint
+        monkeypatch.setattr(simnet, "sample_waypoint", lambda *a: draws.append(a) or sample(*a))
+        # Every draw after setup is a waypoint resampled on arrival.
+        assert sim.run().trace_hash() == self.ARRIVAL_HASH
+        assert len(draws) == 2
+
+    @pytest.mark.parametrize(
+        "key, value", [("waypoint_arrival_radius", 80.0), ("v_max", 30.0)]
+    )
+    def test_mobility_key_moves_arrival_run(self, key, value):
+        result = run(_arrival_scenario(**{key: value}), FaultPlan(), ProtocolKind.HYBRID, 1)
+        assert result.trace_hash() != self.ARRIVAL_HASH
+
+    def test_timeout_backoff_moves_run_with_repeated_timeouts(self):
+        scn = mini_scenario(4, duration=3.0)
+        plan = FaultPlan(byzantine={0: ByzantineStrategy.SILENT})
+        base = run(scn, plan, ProtocolKind.HYBRID, 1)
+        assert len(base.trace.by_kind("timeout")) > 1
+        slower = replace(scn, consensus=replace(scn.consensus, timeout_backoff=3.0))
+        assert run(slower, plan, ProtocolKind.HYBRID, 1).trace_hash() != base.trace_hash()
 
 
 class TestConservation:
