@@ -113,11 +113,11 @@ class ScoreWeights:
     w4: float = 0.25
 
     def __post_init__(self) -> None:
-        # A NaN or infinite weight normalizes the others to NaN, and a
-        # document carries neither it nor a bool.
+        # Normalizing turns a bool into a float before a run's document
+        # round trip could see it.
         vals = (self.w1, self.w2, self.w3, self.w4)
-        if any(isinstance(w, bool) or not 0 <= w < math.inf for w in vals):
-            raise ValueError("weights must be finite numbers >= 0, not bools")
+        if any(isinstance(w, bool) or not 0 <= w for w in vals):
+            raise ValueError("weights must be numbers >= 0, not bools")
         total = sum(vals)
         if total <= 0:
             raise ValueError("weights must not all be zero")

@@ -68,9 +68,6 @@ class AreaBounds:
     z_max: float
 
     def __post_init__(self) -> None:
-        bounds = (self.x_min, self.x_max, self.y_min, self.y_max, self.z_min, self.z_max)
-        if not all(map(math.isfinite, bounds)):
-            raise ValueError("area bounds must be finite numbers")
         if not (self.x_min < self.x_max and self.y_min < self.y_max and self.z_min < self.z_max):
             raise ValueError("area bounds must be non-degenerate")
 
@@ -86,8 +83,8 @@ class MobilityConfig:
 
     def __post_init__(self) -> None:
         limits = (self.v_max, self.a_max, self.dt, self.waypoint_arrival_radius)
-        if not all(0 < value < math.inf for value in limits):
-            raise ValueError("mobility parameters must be positive finite numbers")
+        if not all(0 < value for value in limits):
+            raise ValueError("mobility parameters must be > 0")
 
 
 @dataclass(frozen=True)

@@ -61,12 +61,9 @@ class LinkBudgetParams:
     bandwidth_hz: float = 10e6
 
     def __post_init__(self) -> None:
-        for name in ("tx_gain_dbi", "rx_gain_dbi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number")
         for name in ("tx_power_w", "carrier_hz", "noise_power_w", "bandwidth_hz"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be strictly positive and finite")
+            if not 0 < getattr(self, name):
+                raise ValueError(f"{name} must be > 0")
         # The distance-free numerator of the SNR.  An attribute, not a field,
         # so fields, equality, hashing and serialization are unchanged.
         gains = dbi_to_linear(self.tx_gain_dbi) * dbi_to_linear(self.rx_gain_dbi)
@@ -86,12 +83,10 @@ class NodeServiceProfile:
     service_rate_msgs_per_s: float = 1000.0
 
     def __post_init__(self) -> None:
-        # A NaN or infinite latency delivers nothing, and a document takes
-        # no non-finite number, so a profile built in code takes none either.
-        if not 0 < self.service_rate_msgs_per_s < math.inf:
-            raise ValueError("service_rate_msgs_per_s must be a finite number > 0")
-        if not 0 <= self.proc_latency_s < math.inf:
-            raise ValueError("proc_latency_s must be a finite number >= 0")
+        if not 0 < self.service_rate_msgs_per_s:
+            raise ValueError("service_rate_msgs_per_s must be > 0")
+        if not 0 <= self.proc_latency_s:
+            raise ValueError("proc_latency_s must be >= 0")
 
 
 def dbi_to_linear(gain_dbi: float) -> float:

@@ -1,7 +1,8 @@
 import json
 import math
 import re
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, astuple, fields, replace
+from typing import get_type_hints
 
 import pytest
 
@@ -129,6 +130,13 @@ class TestRoundTrip:
         save_scenario(scn, path)
         loaded = load_scenario(path)
         assert scenario_to_dict(loaded) == scenario_to_dict(scn)
+
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        # `Infinity` in the file would fail `load_scenario`; no file is written.
+        path = tmp_path / "scenario.json"
+        with pytest.raises(ScenarioError, match=r"^run\.duration_s must be "):
+            save_scenario(replace(mini_scenario(5), duration_s=math.inf), path)
+        assert not path.exists()
 
     def test_json_is_plain_data(self):
         doc = scenario_to_dict(build_hurricane_scenario())
@@ -360,144 +368,152 @@ class TestRanges:
             assert scenario_to_dict(scenario_from_dict(doc)) == doc
 
 
-NON_FINITE = pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+# What no document carries: NaN, an infinity or a bool in a number field, and
+# a float, even a whole one, in an int field.
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+BAD_FLOATS = {**NON_FINITE, "bool": True}
+BAD_INTS = {**BAD_FLOATS, "float": 8.0}
+
+
+def _rows(names, bads=BAD_FLOATS):
+    """One ``name-kind`` row per name and bad value."""
+    return [pytest.param(name, bad, id=f"{name}-{kind}") for name in names for kind, bad in bads.items()]
+
+
+def _field_rows(cls, types=(float, int)):
+    """The rows of every number field of ``cls`` whose type is in ``types``."""
+    hints = get_type_hints(cls)
+    names = {tp: [f.name for f in fields(cls) if hints[f.name] is tp] for tp in types}
+    return [row for tp in types for row in _rows(names[tp], BAD_INTS if tp is int else BAD_FLOATS)]
+
+
+def _with(path: str, value) -> Scenario:
+    """``mini_scenario(4)`` with ``value`` at one dotted field path."""
+    scn = mini_scenario(4)
+    section, _, name = path.rpartition(".")
+    if not section:
+        return replace(scn, **{name: value})
+    if section == "fleet":
+        fleet = {m: replace(spec, **{name: value}) for m, spec in scn.fleet.items()}
+        return replace(scn, fleet=fleet)
+    return replace(scn, **{section: replace(getattr(scn, section), **{name: value})})
+
+
+def _rejected_before_run(build, where: str) -> None:
+    """``build`` makes a scenario or a fault plan that holds one value no
+    document carries.  Its constructor may refuse it by a range check;
+    otherwise ``Simulation`` refuses it, before the first event, by its
+    document key ``where``."""
+    try:
+        built = build()
+    except ValueError:
+        return
+    scn, plan = (built, FaultPlan()) if isinstance(built, Scenario) else (mini_scenario(4), built)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(where)} must be "):
+        Simulation(scn, plan, ProtocolKind.HYBRID, 1)
 
 
 class TestCodeBuiltNonFinite:
-    """Value types built in code reject what a document cannot carry.  Only
-    construction is exercised: a NaN duration never ends a run, and an
-    infinite flood rate never ends junk generation."""
+    """Every number field of every scenario section and plan type, built in
+    code with a value no document carries.  A run's document round trip is
+    the one type check, so only ``Simulation`` is called, never ``run``: a
+    NaN or infinite duration, workload rate or flood rate never ends one."""
 
-    @NON_FINITE
-    @pytest.mark.parametrize("name", ["duration_s", "extra_delay_jitter_s"])
+    @pytest.mark.parametrize("name, bad", _field_rows(Scenario))
     def test_scenario(self, name, bad):
-        with pytest.raises(ScenarioError, match=name.split("_s")[0]):
-            replace(build_hurricane_scenario(), **{name: bad})
+        _rejected_before_run(lambda: _with(name, bad), f"run.{name}")
 
-    @NON_FINITE
-    @pytest.mark.parametrize("name", [f.name for f in fields(MobilityConfig)])
+    @pytest.mark.parametrize("name, bad", _field_rows(NodeServiceProfile))
+    def test_service_profile(self, name, bad):
+        _rejected_before_run(lambda: _with(f"service.{name}", bad), f"run.{name}")
+
+    @pytest.mark.parametrize("name, bad", _field_rows(MobilityConfig))
     def test_mobility_config(self, name, bad):
-        with pytest.raises(ValueError, match="finite"):
-            MobilityConfig(**{name: bad})
+        _rejected_before_run(lambda: _with(f"mobility.{name}", bad), f"mobility.{name}")
 
-    @NON_FINITE
-    @pytest.mark.parametrize("index", range(6))
-    def test_area_bounds(self, index, bad):
-        bounds = [0.0, 100.0, 0.0, 100.0, 50.0, 500.0]
-        bounds[index] = bad
-        with pytest.raises(ValueError, match="finite"):
-            AreaBounds(*bounds)
-
-    @NON_FINITE
-    @pytest.mark.parametrize("name", [f.name for f in fields(LinkBudgetParams)])
+    @pytest.mark.parametrize("name, bad", _field_rows(LinkBudgetParams))
     def test_link_budget(self, name, bad):
-        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            LinkBudgetParams(**{name: bad})
+        _rejected_before_run(lambda: _with(f"radio.{name}", bad), f"radio.{name}")
 
-    @NON_FINITE
-    @pytest.mark.parametrize("name", ["start_s", "duration_s", "flood_rate_msgs_per_s"])
-    def test_ddos_window(self, name, bad):
-        args = {"target": 1, "start_s": 0.5, "duration_s": 1.0, "flood_rate_msgs_per_s": 200.0, name: bad}
-        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            DdosWindow(**args)
-
-    @NON_FINITE
-    @pytest.mark.parametrize("name", ["start_s", "duration_s"])
-    def test_spoof_window_times(self, name, bad):
-        args = {"target": 1, "offset": Vec3(10.0, 0.0, 0.0), "start_s": 0.5, "duration_s": 1.0, name: bad}
-        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
-            SpoofWindow(**args)
-
-    @NON_FINITE
-    @pytest.mark.parametrize("axis", range(3))
-    def test_spoof_window_offset(self, axis, bad):
-        offset = [10.0, 0.0, 0.0]
-        offset[axis] = bad
-        with pytest.raises(ValueError, match="offset must be finite"):
-            SpoofWindow(1, Vec3(*offset), 0.5, 1.0)
-
-    # An infinite rate never ends workload generation, a NaN payload turns
-    # arrival times into NaN, and a bool would be written to the trace as
-    # `True` by the tx_arrival format string.
-    @NON_FINITE
-    @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
+    @pytest.mark.parametrize("name, bad", _field_rows(WorkloadParams))
     def test_workload(self, name, bad):
-        with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
-            WorkloadParams(**{name: bad})
+        _rejected_before_run(lambda: _with(f"workload.{name}", bad), f"workload.{name}")
 
-    # `Transaction` takes no empty payload; the scenario rejects it by name
-    # before a run's setup would fail on it.
-    def test_workload_empty_payload(self):
-        with pytest.raises(ScenarioError, match="payload_bits must be a finite number > 0"):
-            WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
-
-    # A NaN timeout or block interval compares false, so it skips deadlines
-    # or block pacing; a NaN or infinite processing latency delivers nothing.
-    @NON_FINITE
-    @pytest.mark.parametrize("name", ["timeout_s", "timeout_backoff", "min_block_interval_s"])
+    @pytest.mark.parametrize("name, bad", _field_rows(ConsensusParams, (float,)))
     def test_consensus_params(self, name, bad):
-        with pytest.raises(ScenarioError, match=f"{name} must be a finite number"):
-            ConsensusParams(**{name: bad})
+        _rejected_before_run(lambda: _with(f"consensus.{name}", bad), f"consensus.{name}")
 
-    # A count of float type, even a whole one, is written as `8.0` and read
-    # back refused; a bool is written as `true`.
-    @pytest.mark.parametrize(
-        "bad", [math.nan, math.inf, -math.inf, 8.0, True], ids=["nan", "inf", "-inf", "float", "bool"]
-    )
-    @pytest.mark.parametrize(
-        "name", ["n_validators", "max_txs_per_block", "reelect_every_blocks", "vote_bits", "header_bits"]
-    )
+    @pytest.mark.parametrize("name, bad", _field_rows(ConsensusParams, (int,)))
     def test_consensus_params_counts(self, name, bad):
-        with pytest.raises(ScenarioError, match=f"{name} must be an int"):
-            ConsensusParams(**{name: bad})
+        _rejected_before_run(lambda: _with(f"consensus.{name}", bad), f"consensus.{name}")
 
-    # A NaN or infinite weight would normalize every weight to NaN.
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True], ids=["nan", "inf", "-inf", "bool"])
-    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("index, bad", _rows(range(4)))
     def test_score_weights(self, index, bad):
         weights = [0.25] * 4
         weights[index] = bad
-        with pytest.raises(ValueError, match="weights must be finite numbers"):
-            ScoreWeights(*weights)
+        _rejected_before_run(lambda: _with("consensus.weights", ScoreWeights(*weights)), "consensus.weights")
 
-    @NON_FINITE
-    @pytest.mark.parametrize("name", [f.name for f in fields(NodeServiceProfile)])
-    def test_service_profile(self, name, bad):
-        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
-            NodeServiceProfile(**{name: bad})
+    @pytest.mark.parametrize("index, bad", _rows(range(6)))
+    def test_area_bounds(self, index, bad):
+        bounds = list(astuple(mini_scenario(4).area))
+        bounds[index] = bad
+        _rejected_before_run(lambda: replace(mini_scenario(4), area=AreaBounds(*bounds)), "geometry.area")
 
-    @NON_FINITE
-    def test_cluster_stake(self, bad):
-        with pytest.raises(ScenarioError, match="stake must be a finite number"):
-            ClusterSpec(4, Region(0.0, 1.0, 0.0, 1.0), stake=bad)
-
-    # A float count fails in `deploy_fleet` on `range`; a bool one runs, but
-    # `export` cannot write it back as a count.
     @pytest.mark.parametrize(
         "bad", [math.nan, math.inf, -math.inf, 25.0, True, False],
         ids=["nan", "inf", "-inf", "float", "true", "false"],
     )
     def test_cluster_count(self, bad):
-        with pytest.raises(ScenarioError, match="cluster count must be an int"):
-            ClusterSpec(bad, Region(0.0, 1.0, 0.0, 1.0), stake=1.0)
+        _rejected_before_run(lambda: _with("fleet.count", bad), "fleet.connectivity.count")
+
+    @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_cluster_stake(self, bad):
+        _rejected_before_run(lambda: _with("fleet.stake", bad), "fleet.connectivity.stake")
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_cluster_stake_bool(self, flag):
-        with pytest.raises(ScenarioError, match="stake must be .*not a bool"):
-            ClusterSpec(4, Region(0.0, 1.0, 0.0, 1.0), stake=flag)
+        _rejected_before_run(lambda: _with("fleet.stake", flag), "fleet.connectivity.stake")
 
-    # A document carries the payload only as an integer, so a float one,
-    # even a whole one, would build a run whose summary does not replay.
+    @pytest.mark.parametrize("bad", BAD_FLOATS.values(), ids=BAD_FLOATS.keys())
+    def test_cluster_stake_jitter(self, bad):
+        _rejected_before_run(lambda: _with("fleet.stake_jitter", bad), "fleet.connectivity.stake_jitter")
+
     @pytest.mark.parametrize("bad", [2048.5, 2048.0], ids=["fraction", "whole"])
     def test_workload_payload_float(self, bad):
-        with pytest.raises(ScenarioError, match="payload_bits must be an int"):
-            WorkloadParams(1.0, bad)
+        _rejected_before_run(lambda: _with("workload.payload_bits", bad), "workload.payload_bits")
 
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("name", [f.name for f in fields(WorkloadParams)])
     def test_workload_bool(self, name, flag):
-        with pytest.raises(ScenarioError, match=f"{name} .*not a bool"):
-            WorkloadParams(**{name: flag})
+        _rejected_before_run(lambda: _with(f"workload.{name}", flag), f"workload.{name}")
+
+    @pytest.mark.parametrize("name, bad", _field_rows(FaultPlan))
+    def test_fault_plan(self, name, bad):
+        _rejected_before_run(lambda: FaultPlan(**{name: bad}), f"attacks.{name}")
+
+    @pytest.mark.parametrize("name, bad", _field_rows(DdosWindow))
+    def test_ddos_window(self, name, bad):
+        args = {"target": 1, "start_s": 0.5, "duration_s": 1.0, "flood_rate_msgs_per_s": 200.0, name: bad}
+        _rejected_before_run(lambda: FaultPlan(ddos=(DdosWindow(**args),)), f"attacks.ddos.{name}")
+
+    @pytest.mark.parametrize("name, bad", _field_rows(SpoofWindow))
+    def test_spoof_window_times(self, name, bad):
+        args = {"target": 1, "offset": Vec3(10.0, 0.0, 0.0), "start_s": 0.5, "duration_s": 1.0, name: bad}
+        _rejected_before_run(lambda: FaultPlan(spoof=(SpoofWindow(**args),)), f"attacks.spoof.{name}")
+
+    @pytest.mark.parametrize("axis, bad", _rows(range(3)))
+    def test_spoof_window_offset(self, axis, bad):
+        offset = [10.0, 0.0, 0.0]
+        offset[axis] = bad
+        _rejected_before_run(
+            lambda: FaultPlan(spoof=(SpoofWindow(1, Vec3(*offset), 0.5, 1.0),)), "attacks.spoof.offset"
+        )
+
+    # `Transaction` takes no empty payload; the scenario rejects it by name
+    # before a run's setup would fail on it.
+    def test_workload_empty_payload(self):
+        with pytest.raises(ScenarioError, match="payload_bits must be > 0"):
+            WorkloadParams(tx_rate_per_uav=0.0, payload_bits=0)
 
     def test_finite_values_still_construct(self):
         replace(build_hurricane_scenario(), duration_s=0.0, extra_delay_jitter_s=0.0)
@@ -510,17 +526,6 @@ class TestCodeBuiltNonFinite:
         LinkBudgetParams(tx_gain_dbi=-3.0, rx_gain_dbi=0.0)
         DdosWindow(1, 0.0, 1e9, 1e6)
         SpoofWindow(1, Vec3(0.0, -0.0, 1e-300), 0.0, 1e9)
-
-
-def _with_bool(scn: Scenario, path: str) -> Scenario:
-    """``scn`` with ``True`` at one dotted field path."""
-    section, _, name = path.rpartition(".")
-    if not section:
-        return replace(scn, **{name: True})
-    if section == "fleet":
-        fleet = {m: replace(spec, **{name: True}) for m, spec in scn.fleet.items()}
-        return replace(scn, fleet=fleet)
-    return replace(scn, **{section: replace(getattr(scn, section), **{name: True})})
 
 
 class TestCodeBuiltRunNormalized:
@@ -556,7 +561,7 @@ class TestCodeBuiltRunNormalized:
         ],
     )
     def test_bool_in_scenario_float_field_rejected(self, path, where):
-        scn = _with_bool(mini_scenario(4), path)
+        scn = _with(path, True)
         with pytest.raises(ScenarioError, match=re.escape(f"{where} must be a finite number, got True")):
             Simulation(scn, FaultPlan(), ProtocolKind.HYBRID, 1)
 
