@@ -255,9 +255,9 @@ def compute_metrics(
 ) -> MetricsReport:
     """Extract the throughput/latency/ANOVA report from a completed trace."""
     # A completed run's last record is the one `end` record it writes.
-    end = trace.records[-1] if trace.records else None
-    if end is None or end["kind"] != "end":
+    if not trace.kinds or trace.kinds[-1] != "end":
         raise ValueError("trace has no end record; run incomplete")
+    end = json.loads(trace.lines[-1])
     counters = dict(end["counters"])
     duration = end["duration_s"]
 
@@ -406,8 +406,11 @@ def export(
 ) -> dict[str, Path]:
     """Write events.jsonl, metrics.csv, groups.csv, anova.csv, summary.json.
 
-    Raises ValueError, with only events.jsonl written, when `report` names a
-    trace hash other than that of `result`'s trace."""
+    summary.json holds the run's own scenario and plan.  Raises ValueError if
+    `scenario` or `fault_plan` is not equal to them, and, with only
+    events.jsonl written, if `report` names another trace hash than `result`'s."""
+    if scenario != result.scenario or fault_plan != result.plan:
+        raise ValueError("the scenario or fault plan given is not the one the run used")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -440,8 +443,8 @@ def export(
             [] if report.anova is None else [[*key, *table_row(report.anova)]]
         ))
         summary = {
-            "scenario": scenario_to_dict(scenario),
-            "fault_plan": fault_plan_to_dict(fault_plan),
+            "scenario": scenario_to_dict(result.scenario),
+            "fault_plan": fault_plan_to_dict(result.plan),
             "metrics": {k: v for k, v in _field_values(report).items() if v is not None},
         }
         with open(paths["summary"], "w", encoding="utf-8") as fh:

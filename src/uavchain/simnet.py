@@ -40,7 +40,7 @@ import hashlib
 import heapq
 import json
 import math
-import zlib
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
@@ -49,6 +49,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 from . import consensus as cons
 from .consensus import (
     ConsensusState,
+    ProposerPolicy,
     ProtocolConfig,
     ProtocolKind,
     UavProfile,
@@ -160,30 +161,25 @@ class SimNode:
 _encode_record = json.JSONEncoder(
     sort_keys=True, separators=(",", ":"), check_circular=False
 ).encode
-# Every record of a fixed shape -- the transport records, nearly all of a
-# full trace, and the commit, tx_arrival, proposal and mobility_tick records,
-# nearly all of an events-level one -- is written by one format string per
-# kind, keyed by kind and field count, with the same bytes: keys in sorted
-# order, numbers by %r (for an int and a finite float, what the encoder
-# writes) and strings as they are (class names, reason literals, mission
-# names and hex digests, none of which needs an escape).
+# Every record of a fixed shape -- nearly all of a full or events-level
+# trace -- is written by one format string per kind, with the encoder's
+# bytes: keys in sorted order, numbers by %s (for an int and a finite float,
+# what the encoder writes) and strings as they are (class names, reasons,
+# mission names and hex digests, none of which needs an escape).
+_SEND, _DROP, _DELIVER, _COMMIT, _TX_ARRIVAL, _PROPOSAL, _MOBILITY_TICK = _FORMATS = (
+    '{"dst":%s,"kind":"send","msg":"%s","seq":%s,"src":%s,"t":%s}',
+    '{"dst":%s,"kind":"drop","reason":"%s","seq":%s,"src":%s,"t":%s}',
+    '{"dst":%s,"kind":"deliver","latency":%s,"msg":"%s","seq":%s,"src":%s,"t":%s}',
+    '{"hash":"%s","height":%s,"kind":"commit","node":%s,"seq":%s,"t":%s}',
+    '{"bits":%s,"kind":"tx_arrival","mission":"%s","origin":%s,"seq":%s,"t":%s,"tx":%s}',
+    '{"hash":"%s","height":%s,"kind":"proposal","node":%s,"seq":%s,"t":%s,"txs":%s,"view":%s}',
+    '{"kind":"mobility_tick","seq":%s,"t":%s}',
+)
+# For a record built as a dict: each format keyed by its kind and field count
+# (one colon per key), with a getter of the fields it takes, in its order.
 _LINE_FORMATS = {
-    (kind, len(keys) + 1): (fmt, itemgetter(*keys))
-    for kind, fmt, keys in (
-        ("send", '{"dst":%r,"kind":"send","msg":"%s","seq":%r,"src":%r,"t":%r}',
-         ("dst", "msg", "seq", "src", "t")),
-        ("drop", '{"dst":%r,"kind":"drop","reason":"%s","seq":%r,"src":%r,"t":%r}',
-         ("dst", "reason", "seq", "src", "t")),
-        ("deliver", '{"dst":%r,"kind":"deliver","latency":%r,"msg":"%s","seq":%r,"src":%r,"t":%r}',
-         ("dst", "latency", "msg", "seq", "src", "t")),
-        ("commit", '{"hash":"%s","height":%r,"kind":"commit","node":%r,"seq":%r,"t":%r}',
-         ("hash", "height", "node", "seq", "t")),
-        ("tx_arrival", '{"bits":%r,"kind":"tx_arrival","mission":"%s","origin":%r,"seq":%r,"t":%r,"tx":%r}',
-         ("bits", "mission", "origin", "seq", "t", "tx")),
-        ("proposal", '{"hash":"%s","height":%r,"kind":"proposal","node":%r,"seq":%r,"t":%r,"txs":%r,"view":%r}',
-         ("hash", "height", "node", "seq", "t", "txs", "view")),
-        ("mobility_tick", '{"kind":"mobility_tick","seq":%r,"t":%r}', ("seq", "t")),
-    )
+    (re.search(r'"kind":"(\w+)"', fmt)[1], fmt.count(":")): (fmt, itemgetter(*re.findall(r'"(\w+)":"?%s', fmt)))
+    for fmt in _FORMATS
 }
 
 
@@ -197,53 +193,59 @@ def _encode_line(record: dict[str, Any]) -> str:
     return fmt % fields(record)
 
 
-# Records per piece of serialized trace: enough to amortize each hash update
+def _time_text(x: float) -> str:
+    """``repr(round(x, 9))`` of a float.  Where 1e-4 <= |x| < 1e6, repr writes
+    fixed point and no two 9-decimal numbers share a float, so it is the
+    correctly rounded ``%.9f`` text less its trailing zeros, at half the cost."""
+    if 1e-4 <= abs(x) < 1e6:
+        text = ("%.9f" % x).rstrip("0")
+        return text + "0" if text[-1] == "." else text
+    return repr(round(x, 9))
+
+
+# Lines per piece of serialized trace: enough to amortize each hash update
 # or file write, few enough that the text in hand stays small.
 _CHUNK_RECORDS = 512
 
 
 class EventTrace:
-    """Ordered run trace: one JSON-compatible record per event."""
+    """Ordered run trace: each record as its JSON line, written when it
+    happens, and the line's kind."""
 
     def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        # The text the last hash_hex encoded, one zlib stream per chunk, and
-        # how many records it covers; the next jsonl_chunks takes it.
-        self._held: Optional[tuple[int, list[bytes]]] = None
+        self.lines: list[str] = []
+        self.kinds: list[str] = []
 
-    def add(self, record: dict[str, Any]) -> None:
-        self.records.append(record)
+    def add(self, line: str | dict[str, Any], kind: Optional[str] = None) -> None:
+        """Append a record: its line and kind, or a record dict, encoded here."""
+        if kind is None:
+            kind = line["kind"]
+            line = _encode_line(line)
+        self.lines.append(line)
+        self.kinds.append(kind)
 
-    def _encoded_chunks(self) -> Iterator[bytes]:
-        records = self.records
-        for i in range(0, len(records), _CHUNK_RECORDS):
-            text = "\n".join(map(_encode_line, records[i:i + _CHUNK_RECORDS])) + "\n"
-            yield text.encode("utf-8")
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        """Every record, parsed from its line."""
+        return list(map(json.loads, self.lines))
+
+    def by_kind(self, kind: str) -> list[dict[str, Any]]:
+        return [json.loads(line) for line, k in zip(self.lines, self.kinds) if k == kind]
 
     def jsonl_chunks(self) -> Iterator[bytes]:
         """The trace as UTF-8 JSON lines, each ending in a newline, yielded a
-        chunk of records at a time.  The trace hash and events.jsonl are both
-        these bytes.  The text the last hash_hex encoded is released here,
-        and yielded again if no record was added since, so a hash followed
-        by a write encodes each record once."""
-        held, self._held = self._held, None
-        if held is not None and held[0] == len(self.records):
-            return map(zlib.decompress, held[1])
-        return self._encoded_chunks()
+        chunk of lines at a time.  The trace hash and events.jsonl are both
+        these bytes."""
+        lines = self.lines
+        for i in range(0, len(lines), _CHUNK_RECORDS):
+            yield ("\n".join(lines[i:i + _CHUNK_RECORDS]) + "\n").encode("utf-8")
 
     def hash_hex(self) -> str:
-        """SHA-256 of `jsonl_chunks`.  The text is kept, compressed, until
-        the next `jsonl_chunks` takes it."""
+        """SHA-256 of `jsonl_chunks`."""
         h = hashlib.sha256()
-        held = []
-        for chunk in self._encoded_chunks():
+        for chunk in self.jsonl_chunks():
             h.update(chunk)
-            held.append(zlib.compress(chunk, 1))
-        self._held = (len(self.records), held)
         return h.hexdigest()
-
-    def by_kind(self, kind: str) -> list[dict[str, Any]]:
-        return [r for r in self.records if r["kind"] == kind]
 
 
 @dataclass
@@ -252,14 +254,12 @@ class RunResult:
     counters: dict[str, int]
     chains: dict[NodeId, tuple[Block, ...]]
     queue_stats: dict[NodeId, dict[str, float]]
+    # The run's own documents: what its summary writes and replays.
+    scenario: Scenario
+    plan: FaultPlan
 
     def trace_hash(self) -> str:
-        """SHA-256 of the trace's JSON lines, taken as they stream by: unlike
-        `EventTrace.hash_hex`, it keeps no compressed copy for a later write."""
-        h = hashlib.sha256()
-        for chunk in self.trace.jsonl_chunks():
-            h.update(chunk)
-        return h.hexdigest()
+        return self.trace.hash_hex()
 
 
 # A validator that times out this many times in a row suspects it has fallen
@@ -296,7 +296,7 @@ class Simulation:
 
         self.now = 0.0
         self._seq = 0
-        self._rec_seq = 0
+        self._t_at, self._t_text = None, ""  # see `_t`
         self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
         self.trace = EventTrace()
         self.full_trace = scenario.trace_detail == "full"
@@ -363,7 +363,12 @@ class Simulation:
         if self.protocol is ProtocolKind.PURE_PBFT:
             n = len(self.nodes)
         profiles = [self.nodes[i].profile for i in sorted(self.nodes)]
-        return cons.elect_validators(profiles, self.scenario.consensus.weights, n)
+        vset = cons.elect_validators(profiles, self.scenario.consensus.weights, n)
+        draws = self.cfg.kind is ProtocolKind.HYBRID and self.cfg.policy is ProposerPolicy.STAKE_WEIGHTED
+        if draws and sum(m.stake for m in vset.members) <= 0:
+            keys = sorted({f"fleet.{self.nodes[m.node].profile.mission.value}.stake" for m in vset.members})
+            raise ScenarioError(f"the elected validators hold no stake to draw proposers by: {', '.join(keys)}")
+        return vset
 
     def _init_waypoints(self) -> None:
         rng = substream(self.seed, "mobility")
@@ -405,11 +410,18 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handler, data))
 
+    def _t(self) -> str:
+        """The `t` text of a record written now; the records of one instant share it."""
+        if self.now != self._t_at:
+            self._t_at = self.now
+            self._t_text = _time_text(self.now)
+        return self._t_text
+
     def _record(self, kind: str, **fields: Any) -> None:
-        self._rec_seq += 1
-        record = {"t": round(self.now, 9), "seq": self._rec_seq, "kind": kind}
+        """Add a record of a kind with no format; ``seq`` is its line's number."""
+        record = {"t": round(self.now, 9), "seq": len(self.trace.lines) + 1, "kind": kind}
         record.update(fields)
-        self.trace.add(record)
+        self.trace.add(_encode_record(record), kind)
 
     # -- transport -------------------------------------------------------------
 
@@ -429,7 +441,8 @@ class Simulation:
         sequence number, in ``dsts`` order."""
         self.counters["sent"] += len(dsts)
         full_trace = self.full_trace
-        kind = wire.kind() if full_trace else None
+        if full_trace:
+            kind, t, add, lines = wire.kind(), self._t(), self.trace.add, self.trace.lines
         drop_prob = self.plan.drop_prob
         draw_drop = self.rng_drop.random
         max_jitter = self.scenario.extra_delay_jitter_s
@@ -442,11 +455,11 @@ class Simulation:
         arrivals = []
         for dst in dsts:
             if full_trace:
-                self._record("send", src=src, dst=dst, msg=kind)
+                add(_SEND % (dst, kind, len(lines) + 1, src, t), "send")
             if drop_prob > 0 and draw_drop() < drop_prob:
                 self.counters["dropped"] += 1
                 if full_trace:
-                    self._record("drop", src=src, dst=dst, reason="loss")
+                    add(_DROP % (dst, "loss", len(lines) + 1, src, t), "drop")
                 continue
             distance = here.distance_to(nodes[dst].reported)
             if distance < MIN_LINK_DISTANCE_M:
@@ -455,7 +468,7 @@ class Simulation:
             if cap <= 0.0:
                 self.counters["dropped_zero_capacity"] += 1
                 if full_trace:
-                    self._record("drop", src=src, dst=dst, reason="zero_capacity")
+                    add(_DROP % (dst, "zero_capacity", len(lines) + 1, src, t), "drop")
                 continue
             # Transmission, then propagation, then jitter: the sum's order.
             t_arr = now + bits / cap + distance / PROPAGATION_SPEED_M_S
@@ -583,7 +596,8 @@ class Simulation:
             self._schedule_proposer_duty((node_id,))
 
     def _note_commit(self, node_id: NodeId, block: Block) -> None:
-        self._record("commit", node=node_id, height=block.height, hash=block.block_hash.hex())
+        seq = len(self.trace.lines) + 1
+        self.trace.add(_COMMIT % (block.block_hash.hex(), block.height, node_id, seq, self._t()), "commit")
         if block.height not in self.first_commit:
             self.first_commit[block.height] = block
             self.counters["blocks_committed"] += 1
@@ -657,17 +671,16 @@ class Simulation:
                 accel = steer_to_waypoint(kin, node.waypoint, mob)
             kin = node.kin = step(kin, accel, mob, area)
             node.reported = apply_spoofing(kin.position, active_spoofs.get(node_id, ZERO))
-        self._record("mobility_tick")
+        self.trace.add(_MOBILITY_TICK % (len(self.trace.lines) + 1, self._t()), "mobility_tick")
         nxt = self.now + mob.dt
         if nxt < scn.duration_s:
             self._schedule(nxt, Simulation._on_mobility, ())
 
     def _on_tx(self, tx: Transaction) -> None:
         origin = self.nodes[tx.origin]
-        self._record(
-            "tx_arrival", tx=tx.tx_id, origin=tx.origin,
-            mission=origin.profile.mission.value, bits=tx.payload_bits,
-        )
+        seq = len(self.trace.lines) + 1
+        mission = origin.profile.mission.value
+        self.trace.add(_TX_ARRIVAL % (tx.payload_bits, mission, tx.origin, seq, self._t(), tx.tx_id), "tx_arrival")
         wire = TxForward(tx)
         validators = self.vset.ordered_ids if self.vset else ()
         if origin.machine is not None:  # exactly the validators hold a machine
@@ -691,7 +704,8 @@ class Simulation:
             if admitted is None:
                 self.counters["dropped_queue_full"] += 1
                 if self.full_trace:
-                    self._record("drop", src=src, dst=dst, reason="queue_full")
+                    seq = len(self.trace.lines) + 1
+                    self.trace.add(_DROP % (dst, "queue_full", seq, src, self._t()), "drop")
             else:
                 # The inbox's keys only grow (service starts never decrease,
                 # seq breaks ties), so its head holds its least key.
@@ -719,10 +733,8 @@ class Simulation:
             heapq.heappush(self._heap, (head[0], head[1], Simulation._on_deliver, (dst,)))
         self.counters["delivered"] += 1
         if self.full_trace:
-            self._record(
-                "deliver", src=src, dst=dst, msg=wire.kind(),
-                latency=round(self.now - sent_at, 9),
-            )
+            latency, seq = _time_text(self.now - sent_at), len(self.trace.lines) + 1
+            self.trace.add(_DELIVER % (dst, latency, wire.kind(), seq, src, self._t()), "deliver")
         machine = node.machine
         if machine is None:
             return
@@ -768,10 +780,8 @@ class Simulation:
             return
         block = cons.proposal_for_turn(machine, self.cfg)
         self.last_proposal_time = self.now
-        self._record(
-            "proposal", node=node_id, height=height, view=view,
-            hash=block.block_hash.hex(), txs=len(block.transactions),
-        )
+        seq, txs = len(self.trace.lines) + 1, len(block.transactions)
+        self.trace.add(_PROPOSAL % (block.block_hash.hex(), height, node_id, seq, self._t(), txs, view), "proposal")
         msg = signed_message(node_id, PrePrepare(block))
         self._broadcast(node_id, [msg])
         result = cons.handle_message(machine, msg, self.vset, self.now, self.cfg)
@@ -814,6 +824,8 @@ class Simulation:
         self.now = end
         self._finalize()
         return RunResult(
+            scenario=self.scenario,
+            plan=self.plan,
             trace=self.trace,
             counters=dict(self.counters),
             chains={

@@ -546,6 +546,23 @@ class TestCodeBuiltRunNormalized:
         paths = export(report, result, tmp_path, scn, FaultPlan())
         assert replay(paths["summary"]) == (True, report.trace_hash, report.trace_hash)
 
+    def test_int_and_float_runs_write_one_summary(self, tmp_path):
+        summaries = []
+        for dt in (1, 1.0):
+            scn = replace(build_hurricane_scenario({"duration_s": 1.0}), mobility=MobilityConfig(dt=dt))
+            report, result = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 3)
+            summaries.append(export(report, result, tmp_path / repr(dt), scn, FaultPlan())["summary"].read_bytes())
+        assert summaries[0] == summaries[1]
+
+    def test_export_refuses_another_runs_documents(self, tmp_path):
+        scn = mini_scenario(4, duration=1.0)
+        report, result = run_experiment(scn, ProtocolKind.HYBRID, FaultPlan(), 1)
+        with pytest.raises(ValueError, match="not the one the run used"):
+            export(report, result, tmp_path, replace(scn, duration_s=2.0), FaultPlan())
+        with pytest.raises(ValueError, match="not the one the run used"):
+            export(report, result, tmp_path, scn, FaultPlan(drop_prob=0.1))
+        assert not any(tmp_path.iterdir())
+
     # Each passes its range check as 1, and before normalization `export`
     # failed on it with a bare TypeError.
     @pytest.mark.parametrize(
@@ -576,6 +593,34 @@ class TestCodeBuiltRunNormalized:
     def test_bool_in_plan_float_field_rejected(self, plan, where):
         with pytest.raises(ScenarioError, match=re.escape(f"{where} must be a finite number, got True")):
             Simulation(mini_scenario(4), plan, ProtocolKind.HYBRID, 1)
+
+
+class TestZeroStakeCommittee:
+    """A document whose validators hold no stake loads; only a run that
+    draws its proposers by stake refuses it, naming the key."""
+
+    @staticmethod
+    def unstaked(policy: ProposerPolicy = ProposerPolicy.STAKE_WEIGHTED):
+        doc = scenario_to_dict(mini_scenario(4, duration=1.0, policy=policy))
+        doc["fleet"]["connectivity"]["stake"] = 0.0
+        return scenario_from_dict(doc)
+
+    def test_stake_weighted_draw_names_the_key(self):
+        with pytest.raises(ScenarioError, match=re.escape("no stake to draw proposers by: fleet.connectivity.stake")):
+            Simulation(self.unstaked(), FaultPlan(), ProtocolKind.HYBRID, 1)
+
+    @pytest.mark.parametrize(
+        "protocol, policy",
+        [
+            (ProtocolKind.PURE_PBFT, ProposerPolicy.STAKE_WEIGHTED),
+            (ProtocolKind.PURE_DPOS, ProposerPolicy.STAKE_WEIGHTED),
+            (ProtocolKind.HYBRID, ProposerPolicy.ROUND_ROBIN),
+        ],
+        ids=["pbft", "dpos", "hybrid-round-robin"],
+    )
+    def test_runs_that_draw_no_stake(self, protocol, policy):
+        report, _ = run_experiment(self.unstaked(policy), protocol, FaultPlan(), 1)
+        assert report.blocks_committed > 0
 
 
 class TestOverrides:
