@@ -119,8 +119,9 @@ class ScoreWeights:
         if any(isinstance(w, bool) or not 0 <= w for w in vals):
             raise ValueError("weights must be numbers >= 0, not bools")
         total = sum(vals)
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
+        # A sum that overflows would normalize every weight to zero.
+        if not 0 < total < math.inf:
+            raise ValueError("weights must have a positive, finite sum")
         if abs(total - 1.0) > 1e-12:
             object.__setattr__(self, "w1", self.w1 / total)
             object.__setattr__(self, "w2", self.w2 / total)

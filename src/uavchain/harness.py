@@ -176,6 +176,9 @@ def canonical_fault_plan(scenario: Scenario, seed: int) -> FaultPlan:
     a 2x-service-rate DDoS on two validators for 20% of the run, two
     equivocating byzantine validators (within tolerance), a 500 m spoof on
     five rescue UAVs, and no baseline loss."""
+    # Read the scenario a run of it would: its document round trip names a
+    # mistyped field by its key before the fleet is deployed.
+    scenario = scenario_from_dict(scenario_to_dict(scenario))
     uavs = deploy_fleet(scenario, seed)
     profiles = [u.profile for u in uavs]
     n = scenario.consensus.n_validators
@@ -225,16 +228,11 @@ def _latency_stats(values: Sequence[float]) -> LatencyStats:
     )
 
 
-def commit_latencies(
-    trace: EventTrace, arrivals: Optional[list[dict[str, Any]]] = None
-) -> dict[str, list[float]]:
+def commit_latencies(trace: EventTrace) -> dict[str, list[float]]:
     """Per-mission commit latency samples: first block commit time minus the
-    transaction's arrival time.  ``arrivals`` are the trace's ``tx_arrival``
-    records, if the caller has already read them."""
-    if arrivals is None:
-        arrivals = trace.by_kind("tx_arrival")
+    transaction's arrival time."""
     tx_arrivals: dict[int, tuple[float, str]] = {}
-    for record in arrivals:
+    for record in trace.by_kind("tx_arrival"):
         tx_arrivals[record["tx"]] = (record["t"], record["mission"])
     groups: dict[str, list[float]] = {}
     for record in trace.by_kind("block"):
@@ -261,8 +259,7 @@ def compute_metrics(
     counters = dict(end["counters"])
     duration = end["duration_s"]
 
-    arrivals = trace.by_kind("tx_arrival")
-    groups = commit_latencies(trace, arrivals)
+    groups = commit_latencies(trace)
     all_latencies = [v for g in groups.values() for v in g]
     txs_committed = counters.get("txs_committed", 0)
     throughput = txs_committed / duration if duration > 0 else 0.0
@@ -291,7 +288,7 @@ def compute_metrics(
         duration_s=duration,
         throughput_tps=throughput,
         txs_committed=txs_committed,
-        txs_offered=len(arrivals),
+        txs_offered=trace.kinds.count("tx_arrival"),
         blocks_committed=counters.get("blocks_committed", 0),
         latency=_latency_stats(all_latencies),
         per_group={mission: _latency_stats(vals) for mission, vals in groups.items()},

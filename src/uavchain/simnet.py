@@ -40,10 +40,8 @@ import hashlib
 import heapq
 import json
 import math
-import re
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from . import consensus as cons
@@ -175,22 +173,6 @@ _SEND, _DROP, _DELIVER, _COMMIT, _TX_ARRIVAL, _PROPOSAL, _MOBILITY_TICK = _FORMA
     '{"hash":"%s","height":%s,"kind":"proposal","node":%s,"seq":%s,"t":%s,"txs":%s,"view":%s}',
     '{"kind":"mobility_tick","seq":%s,"t":%s}',
 )
-# For a record built as a dict: each format keyed by its kind and field count
-# (one colon per key), with a getter of the fields it takes, in its order.
-_LINE_FORMATS = {
-    (re.search(r'"kind":"(\w+)"', fmt)[1], fmt.count(":")): (fmt, itemgetter(*re.findall(r'"(\w+)":"?%s', fmt)))
-    for fmt in _FORMATS
-}
-
-
-def _encode_line(record: dict[str, Any]) -> str:
-    """One trace line: `_encode_record`'s text, by format string where the
-    record's kind and field count have one."""
-    line = _LINE_FORMATS.get((record["kind"], len(record)))
-    if line is None:
-        return _encode_record(record)
-    fmt, fields = line
-    return fmt % fields(record)
 
 
 def _time_text(x: float) -> str:
@@ -216,11 +198,8 @@ class EventTrace:
         self.lines: list[str] = []
         self.kinds: list[str] = []
 
-    def add(self, line: str | dict[str, Any], kind: Optional[str] = None) -> None:
-        """Append a record: its line and kind, or a record dict, encoded here."""
-        if kind is None:
-            kind = line["kind"]
-            line = _encode_line(line)
+    def add(self, line: str, kind: str) -> None:
+        """Append a record: its line and its kind."""
         self.lines.append(line)
         self.kinds.append(kind)
 
@@ -285,8 +264,6 @@ class Simulation:
         fault_plan = fault_plan_from_dict(fault_plan_to_dict(fault_plan))
         self.scenario = scenario
         self.plan = fault_plan
-        self.protocol = protocol
-        self.seed = seed
         self.cfg: ProtocolConfig = scenario.consensus.protocol_config(protocol, seed)
 
         self.rng_drop = substream(seed, "drop")
@@ -360,7 +337,7 @@ class Simulation:
 
     def _elect(self) -> ValidatorSet:
         n = self.scenario.consensus.n_validators
-        if self.protocol is ProtocolKind.PURE_PBFT:
+        if self.cfg.kind is ProtocolKind.PURE_PBFT:
             n = len(self.nodes)
         profiles = [self.nodes[i].profile for i in sorted(self.nodes)]
         vset = cons.elect_validators(profiles, self.scenario.consensus.weights, n)
@@ -371,14 +348,14 @@ class Simulation:
         return vset
 
     def _init_waypoints(self) -> None:
-        rng = substream(self.seed, "mobility")
+        rng = substream(self.cfg.seed, "mobility")
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             node.waypoint = sample_waypoint(rng, node.box)
         self._mobility_rng = rng
 
     def _generate_workload(self) -> None:
-        rng = substream(self.seed, "workload")
+        rng = substream(self.cfg.seed, "workload")
         rate = self.scenario.workload.tx_rate_per_uav
         if rate <= 0:
             return
@@ -623,7 +600,7 @@ class Simulation:
 
     def _reelect(self) -> None:
         """Epoch boundary: refresh history scores and re-run the election."""
-        if self.protocol is ProtocolKind.PURE_PBFT:
+        if self.cfg.kind is ProtocolKind.PURE_PBFT:
             return
         proposers = {b.proposer for b in self.first_commit.values()}
         for node_id in self.vset.ids & proposers:

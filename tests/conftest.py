@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import pytest
 
-from uavchain.consensus import Mission, ProposerPolicy, ProtocolKind
+from uavchain.consensus import Mission, ProposerPolicy, ProtocolKind, elect_validators
 from uavchain.domain import Prepare, signed_message
-from uavchain.faults import FaultPlan
+from uavchain.faults import ByzantineStrategy, FaultPlan
 from uavchain.mobility import AreaBounds, KinematicState, MobilityConfig, Vec3
 from uavchain.radio import LinkBudgetParams, NodeServiceProfile
-from uavchain.scenario import ClusterSpec, ConsensusParams, Region, Scenario, WorkloadParams
+from uavchain.scenario import ClusterSpec, ConsensusParams, Region, Scenario, WorkloadParams, deploy_fleet
 from uavchain.simnet import NodeQueue, Simulation
 
 
@@ -43,6 +43,17 @@ def mini_scenario(
         extra_delay_jitter_s=jitter,
         trace_detail=trace_detail,
     )
+
+
+def swapping_reelection() -> tuple[Scenario, FaultPlan]:
+    """Seven of ten UAVs validate and the top-scored one stays silent, so its
+    history drops and each re-election, one per three blocks, swaps one
+    member in and one out (run with seed 2)."""
+    scn = mini_scenario(10, duration=4.0, reelect_every=3)
+    scn = replace(scn, consensus=replace(scn.consensus, n_validators=7))
+    profiles = [u.profile for u in sorted(deploy_fleet(scn, 2), key=lambda u: u.profile.node)]
+    first = elect_validators(profiles, scn.consensus.weights, 7).members[0].node
+    return scn, FaultPlan(byzantine={first: ByzantineStrategy.SILENT})
 
 
 @pytest.fixture

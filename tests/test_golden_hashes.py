@@ -11,13 +11,12 @@ import dataclasses
 
 import pytest
 
-from uavchain.consensus import ProtocolKind, elect_validators
-from uavchain.faults import ByzantineStrategy, FaultPlan
+from uavchain.consensus import ProtocolKind
+from uavchain.faults import FaultPlan
 from uavchain.harness import build_hurricane_scenario, canonical_fault_plan
-from uavchain.scenario import deploy_fleet
 from uavchain.simnet import run
 
-from conftest import mini_scenario
+from conftest import mini_scenario, swapping_reelection
 
 
 FAULT_FREE = {
@@ -68,13 +67,7 @@ def test_canonical_attack_baseline_hash(protocol):
 
 
 def test_reelection_with_changed_ids_hash():
-    # Seven of ten UAVs validate and the top-scored one stays silent, so its
-    # history drops and each re-election swaps one member in and one out.
-    scn = mini_scenario(10, duration=4.0, reelect_every=3)
-    scn = dataclasses.replace(scn, consensus=dataclasses.replace(scn.consensus, n_validators=7))
-    profiles = [u.profile for u in sorted(deploy_fleet(scn, 2), key=lambda u: u.profile.node)]
-    first = elect_validators(profiles, scn.consensus.weights, 7).members[0].node
-    plan = FaultPlan(byzantine={first: ByzantineStrategy.SILENT})
+    scn, plan = swapping_reelection()
     result = run(scn, plan, ProtocolKind.HYBRID, 2)
     swaps = [(r["joined"], r["left"]) for r in result.trace.by_kind("reelection")]
     assert swaps == [([4], [1]), ([5], [4]), ([1], [5])]

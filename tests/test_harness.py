@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -23,10 +25,11 @@ from uavchain.harness import (
     replay,
     run_experiment,
 )
-from uavchain.scenario import deploy_fleet
+from uavchain.radio import LinkBudgetParams
+from uavchain.scenario import ScenarioError, deploy_fleet
 from uavchain.simnet import EventTrace
 
-from conftest import mini_scenario
+from conftest import mini_scenario, swapping_reelection
 
 
 @pytest.fixture(scope="module")
@@ -98,8 +101,8 @@ class TestComputeMetrics:
             compute_metrics(EventTrace())
         _, result = run_experiment(mini_scenario(4, duration=0.5), ProtocolKind.HYBRID, FaultPlan(), 1)
         backwards = EventTrace()
-        for record in reversed(result.trace.records):
-            backwards.add(record)
+        for line, kind in reversed(list(zip(result.trace.lines, result.trace.kinds))):
+            backwards.add(line, kind)
         with pytest.raises(ValueError, match="no end record"):
             compute_metrics(backwards)
 
@@ -151,6 +154,14 @@ class TestCanonicalPlan:
             scn.consensus.n_validators,
         )
         plan.check_tolerance(vset.ids, byzantine_tolerance(vset.n))
+
+    def test_mistyped_scenario_named_by_key(self):
+        # A code-built fleet with float counts: the plan reads the scenario a
+        # run would, so its document round trip names the key.
+        scn = build_hurricane_scenario({"duration_s": 1.0})
+        scn = replace(scn, fleet={m: replace(c, count=float(c.count)) for m, c in scn.fleet.items()})
+        with pytest.raises(ScenarioError, match=r"^fleet\.\w+\.count must be int"):
+            canonical_fault_plan(scn, 1)
 
 
 class TestExportAndReplay:
@@ -252,7 +263,6 @@ class TestOneEncodingPass:
         def refuse(record):
             raise AssertionError("a report encoded a record")
 
-        monkeypatch.setattr(simnet, "_encode_line", refuse)
         monkeypatch.setattr(simnet, "_encode_record", refuse)
         written = []
         for i in (1, 2):
@@ -268,23 +278,23 @@ class TestOneEncodingPass:
     def test_chunks_without_a_prior_hash(self, tmp_path, attack_run):
         scn, plan, report, result = attack_run
         fresh = EventTrace()
-        for record in result.trace.records:
-            fresh.add(record)
+        for line, kind in zip(result.trace.lines, result.trace.kinds):
+            fresh.add(line, kind)
         text = b"".join(fresh.jsonl_chunks())
         assert hashlib.sha256(text).hexdigest() == report.trace_hash
         paths = export(report, result, tmp_path, scn, plan)
         assert paths["events"].read_bytes() == text
 
     def test_record_added_after_hash(self, attack_run):
-        records = attack_run[3].trace.records
+        run_trace = attack_run[3].trace
         trace, longer = EventTrace(), EventTrace()
-        for record in records:
-            trace.add(record)
-            longer.add(record)
-        extra = {"t": 3.0, "seq": len(records) + 1, "kind": "extra"}
+        for line, kind in zip(run_trace.lines, run_trace.kinds):
+            trace.add(line, kind)
+            longer.add(line, kind)
+        extra = _dumps({"t": 3.0, "seq": len(run_trace.lines) + 1, "kind": "extra"})
         trace.hash_hex()
-        trace.add(extra)
-        longer.add(extra)
+        trace.add(extra, "extra")
+        longer.add(extra, "extra")
         text = b"".join(trace.jsonl_chunks())
         assert text == b"".join(longer.jsonl_chunks())
         assert trace.hash_hex() == longer.hash_hex() == hashlib.sha256(text).hexdigest()
@@ -294,30 +304,37 @@ def _dumps(record):
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-class TestLineFormats:
-    """The format strings that write the fixed-shape lines -- send, deliver
-    and drop, and commit, tx_arrival, proposal and mobility_tick -- give the
-    generic encoder's bytes."""
+# Each of `simnet._FORMATS` by its kind: the format and, in its order, the
+# fields the simulator fills it with.
+FORMATS = {
+    re.search(r'"kind":"(\w+)"', fmt)[1]: (fmt, re.findall(r'"(\w+)":"?%s', fmt)) for fmt in simnet._FORMATS
+}
 
-    TRANSPORT = {
-        "send": {"t": 0.5, "seq": 7, "kind": "send", "src": 1, "dst": 2, "msg": "Prepare"},
-        "deliver": {
-            "t": 0.5, "seq": 7, "kind": "deliver", "src": 1, "dst": 2, "msg": "TxForward",
-            "latency": 0.001,
-        },
-        "drop": {"t": 0.5, "seq": 7, "kind": "drop", "src": 1, "dst": 2, "reason": "queue_full"},
-    }
-    EVENTS = {
-        "commit": {"t": 0.5, "seq": 7, "kind": "commit", "node": 3, "height": 12, "hash": "0f" * 32},
-        "tx_arrival": {
-            "t": 0.5, "seq": 7, "kind": "tx_arrival", "tx": 10**6, "origin": 199,
-            "mission": "assessment", "bits": 60_000,
-        },
-        "proposal": {
-            "t": 0.5, "seq": 7, "kind": "proposal", "node": 3, "height": 12, "view": 2,
-            "hash": "a9" * 32, "txs": 16,
-        },
-        "mobility_tick": {"t": 0.5, "seq": 7, "kind": "mobility_tick"},
+
+def _assert_canonical(trace):
+    """Each line of a trace is its record's compact, key-sorted JSON, under
+    the record's kind, and a line of a kind with a format has exactly that
+    format's keys."""
+    for line, kind in zip(trace.lines, trace.kinds, strict=True):
+        record = json.loads(line)
+        assert line == _dumps(record)
+        assert record["kind"] == kind
+        if kind in FORMATS:
+            assert sorted(record) == sorted([*FORMATS[kind][1], "kind"])
+
+
+class TestLineFormats:
+    """The lines a run writes are the JSON encoder's text, and each format
+    string that writes the fixed-shape lines -- send, deliver and drop, and
+    commit, tx_arrival, proposal and mobility_tick -- gives it for any value
+    the simulator fills it with."""
+
+    TRANSPORT = ("send", "deliver", "drop")
+    EVENTS = ("commit", "tx_arrival", "proposal", "mobility_tick")
+    VALUES = {
+        "t": 0.5, "seq": 7, "src": 1, "dst": 2, "msg": "Prepare", "latency": 0.001,
+        "reason": "queue_full", "node": 3, "height": 12, "view": 2, "hash": "a9" * 32,
+        "tx": 10**6, "origin": 199, "mission": "assessment", "bits": 60_000, "txs": 16,
     }
     EDGES = {
         "1e-07": {"t": 1e-07},
@@ -328,22 +345,29 @@ class TestLineFormats:
         "int-t": {"t": 3},
         "attacker-src": {"src": simnet.ATTACKER_ID},
     }
+    # Every record kind a run writes, and every reason it drops a message for.
+    KINDS = {*FORMATS, "block", "end", "reelection", "timeout", "view_adopted", "sync"}
+    REASONS = {"loss", "queue_full", "zero_capacity"}
 
-    @pytest.fixture
-    def no_encoder(self, monkeypatch):
-        def generic(record):
-            raise AssertionError("a fixed-shape record reached the generic encoder")
-
-        monkeypatch.setattr(simnet, "_encode_record", generic)
+    @staticmethod
+    def _check_line(kind, values):
+        # Filled as the simulator fills it (each `t` and `latency` as
+        # `_time_text` of the value, every other field as it is), a format's
+        # line re-encodes to itself and holds those values, rounded to 9
+        # places where the simulator rounds them.
+        fmt, names = FORMATS[kind]
+        timed = ("t", "latency")
+        line = fmt % tuple(simnet._time_text(values[n]) if n in timed else values[n] for n in names)
+        record = json.loads(line)
+        assert line == _dumps(record)
+        assert record == {"kind": kind, **{n: round(values[n], 9) if n in timed else values[n] for n in names}}
 
     def test_every_record_of_a_run(self, attack_run):
         events = run_experiment(mini_scenario(7, duration=2.0), ProtocolKind.HYBRID, FaultPlan(), 1)[1]
-        formatted = 0
         for result in (attack_run[3], events):
-            for record in result.trace.records:
-                assert simnet._encode_line(record) == _dumps(record)
-                formatted += (record["kind"], len(record)) in simnet._LINE_FORMATS
-        assert formatted > len(attack_run[3].trace.records) // 2
+            _assert_canonical(result.trace)
+        attack_kinds = attack_run[3].trace.kinds
+        assert sum(kind in FORMATS for kind in attack_kinds) > len(attack_kinds) // 2
 
     @pytest.mark.parametrize("attacked", [False, True], ids=["no-attacks", "canonical"])
     @pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda p: p.value)
@@ -352,36 +376,45 @@ class TestLineFormats:
         scn = mini_scenario(7, duration=2.0, reelect_every=5, trace_detail="full")
         plan = canonical_fault_plan(scn, 3) if attacked else FaultPlan()
         trace = run_experiment(scn, protocol, plan, 3)[1].trace
-        records = trace.records
-        kinds = {record["kind"] for record in records}
-        assert {"tx_arrival", "mobility_tick", "proposal", "send", "deliver"} <= kinds
-        for line, kind, record in zip(trace.lines, trace.kinds, records, strict=True):
-            # The line the run wrote is the encoder's text, under its kind.
-            assert line == _dumps(record)
-            assert kind == record["kind"]
-            assert simnet._encode_line(record) == _dumps(record)
-            # Each kind with a format is written by it: no field count drifts.
-            if record["kind"] in {**self.TRANSPORT, **self.EVENTS}:
-                assert (record["kind"], len(record)) in simnet._LINE_FORMATS
+        assert {"tx_arrival", "mobility_tick", "proposal", "send", "deliver"} <= set(trace.kinds)
+        _assert_canonical(trace)
+
+    def test_every_kind_and_drop_reason(self, attack_run):
+        # Scenarios pinned elsewhere, each with a full trace: the attack run,
+        # the member-swapping re-election, the lossy run and the radio
+        # tests' zero-capacity link.  Between them they write every kind and
+        # every drop reason.
+        swap_scn, swap_plan = swapping_reelection()
+        lossy = mini_scenario(7, duration=2.0, jitter=0.02, trace_detail="full")
+        weak = replace(mini_scenario(4, duration=1.0, trace_detail="full"), radio=LinkBudgetParams(tx_power_w=1e-300))
+        traces = [
+            attack_run[3].trace,
+            simnet.run(replace(swap_scn, trace_detail="full"), swap_plan, ProtocolKind.HYBRID, 2).trace,
+            simnet.run(lossy, FaultPlan(drop_prob=0.05), ProtocolKind.HYBRID, 1).trace,
+            simnet.run(weak, FaultPlan(), ProtocolKind.HYBRID, 1).trace,
+        ]
+        for trace in traces:
+            _assert_canonical(trace)
+        assert {kind for trace in traces for kind in trace.kinds} == self.KINDS
+        assert {r["reason"] for trace in traces for r in trace.by_kind("drop")} == self.REASONS
 
     @pytest.mark.parametrize("edge", list(EDGES))
-    @pytest.mark.parametrize("kind", list(TRANSPORT))
-    def test_edge_values(self, kind, edge, no_encoder):
-        record = {**self.TRANSPORT[kind], **self.EDGES[edge]}
-        if kind == "deliver":
-            record["latency"] = record["t"]
-        assert simnet._encode_line(record) == _dumps(record)
+    @pytest.mark.parametrize("kind", TRANSPORT)
+    def test_edge_values(self, kind, edge):
+        values = {**self.VALUES, **self.EDGES[edge]}
+        values["latency"] = values["t"]
+        self._check_line(kind, values)
 
     @pytest.mark.parametrize("edge", [name for name, edge in EDGES.items() if "t" in edge])
-    @pytest.mark.parametrize("kind", list(EVENTS))
-    def test_event_edge_values(self, kind, edge, no_encoder):
-        record = {**self.EVENTS[kind], **self.EDGES[edge]}
-        assert simnet._encode_line(record) == _dumps(record)
+    @pytest.mark.parametrize("kind", EVENTS)
+    def test_event_edge_values(self, kind, edge):
+        self._check_line(kind, {**self.VALUES, **self.EDGES[edge]})
 
     @pytest.mark.parametrize("mission", list(Mission), ids=lambda m: m.value)
-    def test_missions_need_no_escape(self, mission, no_encoder):
-        record = {**self.EVENTS["tx_arrival"], "mission": mission.value, "bits": 2048.0}
-        assert simnet._encode_line(record) == _dumps(record)
+    def test_missions_need_no_escape(self, mission):
+        # `bits` is the scenario's int payload size, as a run writes it.
+        bits = mini_scenario(4).workload.payload_bits
+        self._check_line("tx_arrival", {**self.VALUES, "mission": mission.value, "bits": bits})
 
     def test_time_text_is_the_encoders(self):
         # The simulator writes each `t` and `latency` as this text.
@@ -394,20 +427,6 @@ class TestLineFormats:
         values += [(rng.randrange(10**15) + 0.5) / 1e9 for _ in range(20_000)]
         for x in values:
             assert simnet._time_text(x) == repr(round(x, 9)), x
-
-    def test_extra_field_falls_back(self, monkeypatch):
-        encode, calls = simnet._encode_record, []
-
-        def counting(record):
-            calls.append(1)
-            return encode(record)
-
-        monkeypatch.setattr(simnet, "_encode_record", counting)
-        formatted = {**self.TRANSPORT, **self.EVENTS}
-        for record in formatted.values():
-            record = {**record, "note": "extra"}
-            assert simnet._encode_line(record) == _dumps(record)
-        assert len(calls) == len(formatted)
 
 
 class TestBuilders:

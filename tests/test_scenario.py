@@ -289,6 +289,15 @@ class TestMalformedValues:
         assert scn.duration_s == 30.0 and type(scn.duration_s) is float
         assert scenario_to_dict(scn)["consensus"]["weights"] == [0.25] * 4
 
+    def test_weights_whose_sum_overflows_rejected(self):
+        # Normalized by an infinite sum, every weight would be zero.
+        with pytest.raises(ValueError, match="positive, finite sum"):
+            ScoreWeights(1e308, 1e308, 1e308, 1e308)
+        doc = scenario_to_dict(build_hurricane_scenario())
+        doc["consensus"]["weights"] = [1e308] * 4
+        with pytest.raises(ScenarioError, match=r"^consensus\.weights: weights must have a positive, finite sum"):
+            scenario_from_dict(doc)
+
     def test_unknown_mission_rejected(self):
         doc = scenario_to_dict(build_hurricane_scenario())
         doc["fleet"]["firefighting"] = doc["fleet"].pop("rescue")
