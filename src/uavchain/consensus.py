@@ -386,13 +386,14 @@ class ConsensusState:
 def initial_state(
     node: NodeId, now: float, cfg: ProtocolConfig, chain: tuple[Block, ...] = (genesis_block(),)
 ) -> ConsensusState:
-    """A fresh state at the tip of ``chain``: genesis unless a node joins or
-    catches up on a chain already committed."""
+    """A fresh state at the tip of ``chain``, in the tip block's view: genesis
+    unless a node joins or catches up on a chain already committed."""
     return ConsensusState(
         node=node,
         height=len(chain),
         committed_chain=chain,
         committed_ids=frozenset(tx.tx_id for b in chain for tx in b.transactions),
+        view=chain[-1].view,
         timeout_deadline=cfg.deadline(now, 0),
     )
 

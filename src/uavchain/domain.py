@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Union
 
 NodeId = int
@@ -125,8 +125,10 @@ def make_block(
     )
 
 
+@cache
 def genesis_block() -> Block:
-    """Shared height-0 block: all-zero parent, no transactions, proposer 0."""
+    """Shared height-0 block, built once: all-zero parent, no transactions,
+    proposer 0.  Every validator's chain starts with it."""
     return make_block(0, ZERO_DIGEST, 0, 0, ())
 
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -312,16 +311,13 @@ class Simulation:
         if enforce_tolerance and self.vset is not None:
             fault_plan.check_tolerance(self.vset.ids, byzantine_tolerance(self.vset.n))
 
-        validators = self.vset.ordered_ids if self.vset else ()
-        for node_id in validators:
-            self.nodes[node_id].machine = cons.initial_state(node_id, 0.0, self.cfg)
-
         # Canonical committed prefix: first commit seen per height.  A node
         # commits h+1 only after h and state transfer adds no heights, so the
         # keys run 1..H in insertion order.
         self.first_commit: dict[int, Block] = {}
-        # Chain-level block cadence; proposals respect a global floor.
-        self.last_proposal_time: float = -math.inf
+        # Chain-level block cadence: each proposal, the first too, waits the
+        # floor after the last one, and genesis counts as one at t = 0.
+        self.last_proposal_time = 0.0
         self._failed_proposer_logged: set = set()
         self._tx_counter = 0
 
@@ -329,9 +325,10 @@ class Simulation:
         self._schedule(scenario.mobility.dt, Simulation._on_mobility, ())
         self._generate_workload()
         self._generate_junk()
+        validators = self.vset.ordered_ids if self.vset else ()
         for node_id in validators:
-            self._arm_timeout(node_id)
-        self._schedule_proposer_duty(validators, first=True)
+            self._seat(node_id)
+        self._schedule_proposer_duty(validators)
 
     # -- setup ---------------------------------------------------------------
 
@@ -506,7 +503,7 @@ class Simulation:
 
     # -- consensus plumbing ------------------------------------------------------
 
-    def _schedule_proposer_duty(self, node_ids: Iterable[NodeId], first: bool = False) -> None:
+    def _schedule_proposer_duty(self, node_ids: Iterable[NodeId]) -> None:
         """Arm a proposal event for each of ``node_ids`` that leads its own
         (h, v).  Callers pass the nodes whose (h, v) moved, or every validator
         when the set itself changed; no other node's answer can change."""
@@ -526,10 +523,17 @@ class Simulation:
                 self.now,
                 self.last_proposal_time + self.scenario.consensus.min_block_interval_s,
             )
-            if first:
-                earliest = max(earliest, self.scenario.consensus.min_block_interval_s)
             node.armed = (h, v)
             self._schedule(earliest, Simulation._on_proposal, (node_id, h, v))
+
+    def _seat(self, node_id: NodeId) -> None:
+        """Give a validator a fresh machine at the committed tip, in the tip
+        block's view, and arm its deadline.  Every validator starts here: at
+        the run's start, on joining at re-election and on catching up by
+        state transfer."""
+        chain = (cons.genesis_block(), *self.first_commit.values())
+        self.nodes[node_id].machine = cons.initial_state(node_id, self.now, self.cfg, chain)
+        self._arm_timeout(node_id)
 
     def _arm_timeout(self, node_id: NodeId) -> None:
         machine = self.nodes[node_id].machine
@@ -617,16 +621,10 @@ class Simulation:
             "reelection", joined=sorted(joined), left=sorted(left),
             members=list(new_set.ordered_ids),
         )
-        chain = self._canonical_chain()
         for node_id in sorted(left):
             self.nodes[node_id].machine = None
         for node_id in sorted(joined):
-            self.nodes[node_id].machine = cons.initial_state(node_id, self.now, self.cfg, chain)
-            self._arm_timeout(node_id)
-        self._schedule_proposer_duty(new_set.ordered_ids)
-
-    def _canonical_chain(self) -> tuple[Block, ...]:
-        return (cons.genesis_block(), *self.first_commit.values())
+            self._seat(node_id)
 
     # -- event handlers -----------------------------------------------------------
 
@@ -736,16 +734,13 @@ class Simulation:
         machine = node.machine
         if machine is None:
             return
-        chain = self._canonical_chain()
-        if len(chain) <= machine.height:
+        if machine.height > len(self.first_commit):  # already at the tip
             return
-        fresh = cons.initial_state(node_id, self.now, self.cfg, chain)
-        fresh.view = chain[-1].view
-        node.machine = fresh.add_transactions(machine.mempool.values())
+        self._seat(node_id)
+        node.machine = node.machine.add_transactions(machine.mempool.values())
         self._record(
-            "sync", node=node_id, from_height=machine.height, to_height=fresh.height,
+            "sync", node=node_id, from_height=machine.height, to_height=node.machine.height,
         )
-        self._arm_timeout(node_id)
         self._schedule_proposer_duty((node_id,))
 
     def _on_proposal(self, node_id: NodeId, height: int, view: int) -> None:

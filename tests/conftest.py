@@ -47,8 +47,10 @@ def mini_scenario(
 
 def swapping_reelection() -> tuple[Scenario, FaultPlan]:
     """Seven of ten UAVs validate and the top-scored one stays silent, so its
-    history drops and each re-election, one per three blocks, swaps one
-    member in and one out (run with seed 2)."""
+    history drops and a re-election, one per three blocks, votes it out for
+    a UAV outside the committee (run with seed 2: node 4 in, node 1 out).
+    The joiner starts at the committed tip in the tip block's view, takes
+    its turns and stays a member."""
     scn = mini_scenario(10, duration=4.0, reelect_every=3)
     scn = replace(scn, consensus=replace(scn.consensus, n_validators=7))
     profiles = [u.profile for u in sorted(deploy_fleet(scn, 2), key=lambda u: u.profile.node)]

@@ -19,7 +19,7 @@ from uavchain.radio import PROPAGATION_SPEED_M_S, NodeServiceProfile, link_capac
 from uavchain.scenario import ClusterSpec, Region, ScenarioError
 from uavchain.simnet import NodeQueue, RunResult, SimNode, Simulation, TxForward, run
 
-from conftest import mini_scenario
+from conftest import mini_scenario, swapping_reelection
 
 
 class TestDeterminism:
@@ -573,6 +573,38 @@ class TestChains:
         offered = {r["tx"] for r in result.trace.by_kind("tx_arrival")}
         committed = {t for r in result.trace.by_kind("block") for t in r["txs"]}
         assert committed <= offered
+
+
+class TestSeating:
+    @pytest.mark.parametrize("seed", [2, 3, 5, 6, 7, 8])
+    def test_joiner_starts_in_the_tip_view(self, monkeypatch, seed):
+        # A validator elected mid-run starts at the committed tip in the tip
+        # block's view, as one catching up by state transfer does: in a lower
+        # view it could prepare none of the committee's blocks.
+        seated = []
+        reelect = Simulation._reelect
+
+        def checked(sim):
+            before = sim.vset.ids
+            reelect(sim)
+            tip = list(sim.first_commit.values())[-1]
+            seated.extend((sim.nodes[j].machine.view, tip.view) for j in sorted(sim.vset.ids - before))
+
+        monkeypatch.setattr(Simulation, "_reelect", checked)
+        scn, plan = swapping_reelection()
+        run(scn, plan, ProtocolKind.HYBRID, seed)
+        assert seated
+        assert [view for view, _ in seated] == [tip_view for _, tip_view in seated]
+
+    @pytest.mark.parametrize("protocol", list(ProtocolKind), ids=lambda p: p.value)
+    def test_first_proposal_waits_the_block_interval(self, protocol):
+        # Under hybrid and PBFT the deadline (0.02 s) falls before the block
+        # interval (0.05 s), so the view-1 proposer is due first; it too
+        # waits the interval from t = 0, as if genesis were the last proposal.
+        scn = mini_scenario(4, duration=1.0, timeout_s=0.02)
+        proposals = run(scn, FaultPlan(), protocol, 1).trace.by_kind("proposal")
+        assert proposals
+        assert min(r["t"] for r in proposals) >= scn.consensus.min_block_interval_s
 
 
 class TestDposTimeouts:
