@@ -20,11 +20,13 @@ the three phases safe across view changes:
   whatever phase or view the node is in, so nodes left behind by a view
   change still converge on the committed block.
 
-Every transition is a pure function of (state, message, validator set,
-clock, protocol config): ``handle_message`` returns a new state (or, for a
-stale or rejected message, its input) and never mutates its input.  Vote
-tallies are keyed sets of distinct senders, so the final state is
-independent of message arrival order.
+Every transition, whether a message (``handle_message``) or a timeout
+(``on_timeout``), is a pure function of its inputs and returns one
+``HandleResult``: a new state (or, where nothing moves, its input) and the
+messages to broadcast, blocks committed and messages discarded.  No
+transition mutates its input state.  Vote tallies are keyed sets of
+distinct senders, so the final state is independent of message arrival
+order.
 
 Two baseline protocols share the machine: pure-DPoS commits on the
 proposer's block plus a simple majority of acknowledgments in a single
@@ -307,8 +309,9 @@ class ConsensusState:
     A node records each vote it casts (prepare, commit or view change) in
     its own tally as it casts it, and that entry is the one record that it
     has voted: it casts no second prepare vote in a view, and no second
-    commit or view-change vote for a key its id is already in.  This needs a
-    node's own messages never to come back to it, which the simulator keeps.
+    commit or view-change vote for a key its id is already in.  This needs
+    no node to be handed its own votes, which the simulator keeps: the
+    proposer's PrePrepare is the one message of its own a node is handed.
 
     ``mempool`` maps each pending tx id to its transaction in arrival order,
     so its values are the FIFO queue and its keys the dedupe set.
@@ -399,6 +402,8 @@ def initial_state(
 
 
 class HandleResult(NamedTuple):
+    """What every transition returns, a delivered message or a timeout."""
+
     state: ConsensusState
     outbound: list[ConsensusMessage]
     committed: list[Block]
@@ -462,25 +467,22 @@ def handle_message(
     duplicate messages leave the protocol state unchanged; a message below
     the node's height returns the input state itself.
     """
-    outbound: list[ConsensusMessage] = []
-    committed: list[Block] = []
-    discarded: list[str] = []
-
     if not msg.verifies():
-        return HandleResult(state, outbound, committed, ["invalid_signature"])
+        return HandleResult(state, [], [], ["invalid_signature"])
     if msg.sender not in vset.ids:
-        return HandleResult(state, outbound, committed, ["unknown_sender"])
+        return HandleResult(state, [], [], ["unknown_sender"])
 
     body = msg.body
     kind = type(body)
     h = body.block.height if kind is PrePrepare else body.height
     if h < state.height:
-        return HandleResult(state, outbound, committed, discarded)
-    r = state.copy()
+        return HandleResult(state, [], [], [])
+    res = HandleResult(state.copy(), [], [], [])
+    r = res.state
     if h > r.height:
         if h - r.height <= FUTURE_WINDOW:
             r.future = {**r.future, h: r.future.get(h, ()) + (msg,)}
-        return HandleResult(r, outbound, committed, discarded)
+        return res
 
     if kind is Prepare or kind is Commit:
         tally = _ingest_vote(r, body, msg.sender)
@@ -488,21 +490,22 @@ def handle_message(
         # ``commit_quorum`` can enable a transition (see
         # ``ConsensusState.settled``).
         if r.settled is vset and tally != cfg.commit_quorum(vset.n):
-            return HandleResult(r, outbound, committed, discarded)
+            return res
     else:
-        _ingest(r, msg, discarded)
-    _advance(r, vset, cfg, now, outbound, committed, discarded)
+        _ingest(res, msg)
+    _advance(res, vset, cfg, now)
     r.settled = vset
-    return HandleResult(r, outbound, committed, discarded)
+    return res
 
 
-def _ingest(r: ConsensusState, msg: ConsensusMessage, discarded: list[str]) -> None:
+def _ingest(res: HandleResult, msg: ConsensusMessage) -> None:
     """Record a current-height message into the state's tallies and stores."""
+    r = res.state
     body = msg.body
     if isinstance(body, PrePrepare):
         block = body.block
         if not block_is_valid(block, r.tip.block_hash, r.height):
-            discarded.append("invalid_block")
+            res.discarded.append("invalid_block")
             return
         # Proposals are attributed to the broadcasting sender: a new proposer
         # may relay a locked block verbatim, so block.proposer (its original
@@ -535,15 +538,9 @@ def _candidate_hash(r: ConsensusState, vset: ValidatorSet, cfg: ProtocolConfig) 
     return candidates[0]
 
 
-def _apply_commit(
-    r: ConsensusState,
-    block: Block,
-    now: float,
-    cfg: ProtocolConfig,
-    committed: list[Block],
-    discarded: list[str],
-) -> None:
-    committed.append(block)
+def _apply_commit(res: HandleResult, block: Block, now: float, cfg: ProtocolConfig) -> None:
+    r = res.state
+    res.committed.append(block)
     r.committed_chain = r.committed_chain + (block,)
     r.height += 1
     included = {tx.tx_id for tx in block.transactions}
@@ -562,14 +559,13 @@ def _apply_commit(
     replay = r.future.get(r.height, ())
     r.future = {h: msgs for h, msgs in r.future.items() if h > r.height}
     for buffered in replay:
-        _ingest(r, buffered, discarded)
+        _ingest(res, buffered)
 
 
-def _prepare_vote(
-    r: ConsensusState, vset: ValidatorSet, cfg: ProtocolConfig, outbound: list[ConsensusMessage]
-) -> bool:
+def _prepare_vote(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig) -> bool:
     """Cast this node's one prepare vote for its current view, if it holds a
     proposal it may vote for."""
+    r = res.state
     for (_digest, view), senders in r.prepare_votes.items():
         if view == r.view and r.node in senders:
             return False
@@ -577,36 +573,30 @@ def _prepare_vote(
     if digest is None:
         return False
     r.prepare_votes = _add_vote(r.prepare_votes, (digest, r.view), r.node)
-    outbound.append(signed_message(r.node, Prepare(digest, r.height, r.view)))
+    res.outbound.append(signed_message(r.node, Prepare(digest, r.height, r.view)))
     return True
 
 
 def _commit_on_quorum(
-    r: ConsensusState, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
-    now: float, cfg: ProtocolConfig, committed: list[Block], discarded: list[str],
+    res: HandleResult, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
+    now: float, cfg: ProtocolConfig,
 ) -> bool:
     """Commit the first stored block whose tally in ``votes`` reaches quorum."""
+    r = res.state
     for (block_hash, _view), senders in votes.items():
         if len(senders) >= quorum and block_hash in r.blocks:
-            _apply_commit(r, r.blocks[block_hash], now, cfg, committed, discarded)
+            _apply_commit(res, r.blocks[block_hash], now, cfg)
             return True
     return False
 
 
-def _advance(
-    r: ConsensusState,
-    vset: ValidatorSet,
-    cfg: ProtocolConfig,
-    now: float,
-    outbound: list[ConsensusMessage],
-    committed: list[Block],
-    discarded: list[str],
-) -> None:
+def _advance(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig, now: float) -> None:
     """Run every enabled transition to a fixpoint.
 
     Transitions fire off the tally state alone, so replaying the same
     message multiset in any order reaches the same fixpoint.
     """
+    r, outbound = res.state, res.outbound
     n = vset.n
     quorum = cfg.commit_quorum(n)
     changed = True
@@ -616,18 +606,18 @@ def _advance(
         if cfg.kind is ProtocolKind.PURE_DPOS:
             # Single acknowledgment round: proposer's block commits on a
             # simple majority of distinct acks.
-            voted = _prepare_vote(r, vset, cfg, outbound)
-            acked = _commit_on_quorum(r, r.prepare_votes, quorum, now, cfg, committed, discarded)
+            voted = _prepare_vote(res, vset, cfg)
+            acked = _commit_on_quorum(res, r.prepare_votes, quorum, now, cfg)
             changed = voted or acked
             continue
 
         # Commit certificate: a commit quorum for a stored block wins
         # outright, whatever view this node is in.
-        if _commit_on_quorum(r, r.commit_votes, quorum, now, cfg, committed, discarded):
+        if _commit_on_quorum(res, r.commit_votes, quorum, now, cfg):
             changed = True
             continue
 
-        if _prepare_vote(r, vset, cfg, outbound):
+        if _prepare_vote(res, vset, cfg):
             changed = True
 
         # Prepare quorum: lock on the block and commit-vote it.
@@ -665,20 +655,19 @@ def _advance(
                 break
 
 
-def on_timeout(
-    state: ConsensusState, now: float, cfg: ProtocolConfig
-) -> tuple[ConsensusState, list[ConsensusMessage]]:
+def on_timeout(state: ConsensusState, now: float, cfg: ProtocolConfig) -> HandleResult:
     """Stalled at the current height past the deadline: call a view change.
 
     Re-fires re-send the same target view (receivers deduplicate); the
-    deadline backs off exponentially until a commit resets it.
+    deadline backs off exponentially until a commit resets it.  Before the
+    deadline the result holds the input state itself and nothing else.
     """
     if now < state.timeout_deadline:
-        return state, []
+        return HandleResult(state, [], [], [])
     r = state.copy()
     r.settled = None
     target = r.view + 1
     r.timeouts_since_commit += 1
     r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
     r.view_change_votes = _add_vote(r.view_change_votes, target, r.node)
-    return r, [signed_message(r.node, ViewChange(target, r.height))]
+    return HandleResult(r, [signed_message(r.node, ViewChange(target, r.height))], [], [])

@@ -509,10 +509,7 @@ class Simulation:
         when the set itself changed; no other node's answer can change."""
         for node_id in node_ids:
             node = self.nodes[node_id]
-            machine = node.machine
-            if machine is None:
-                continue
-            h, v = machine.height, machine.view
+            h, v = node.machine.height, node.machine.view
             if node.armed == (h, v):
                 continue
             if self.cfg.proposer_for(self.vset, h, v) != node_id:
@@ -765,22 +762,14 @@ class Simulation:
         if machine is None or machine.timeout_deadline != deadline:
             return
         # Fired at its deadline, so on_timeout calls a view change.
-        new_state, outbound = cons.on_timeout(machine, self.now, self.cfg)
-        node.machine = new_state
+        result = cons.on_timeout(machine, self.now, self.cfg)
         self._record("timeout", node=node_id, height=machine.height, view=machine.view)
-        self._broadcast(node_id, outbound)
-        # A node's own view-change vote can complete a quorum locally.
-        for msg in outbound:
-            result = cons.handle_message(node.machine, msg, self.vset, self.now, self.cfg)
-            self._absorb_result(node_id, result)
-        if (
-            node.machine is not None
-            and node.machine.timeouts_since_commit >= SYNC_AFTER_TIMEOUTS
-            and not node.sync_pending
-        ):
+        # Scheduled before the new deadline is armed, so a state transfer due
+        # at the same instant runs first.
+        if result.state.timeouts_since_commit >= SYNC_AFTER_TIMEOUTS and not node.sync_pending:
             node.sync_pending = True
             self._schedule(self.now + SYNC_DELAY_S, Simulation._on_sync, (node_id,))
-        self._arm_timeout(node_id)
+        self._absorb_result(node_id, result)
 
     # -- main loop ------------------------------------------------------------------
 

@@ -528,7 +528,7 @@ class TestSettledVotes:
                     vset = other
                 if i == timeout:
                     now = max(now, state.timeout_deadline)
-                    state, _ = on_timeout(state, now, CFG)
+                    state = on_timeout(state, now, CFG).state
                 cleared = state.copy()
                 cleared.settled = None
                 # The tally a recorded vote lands on (a vote below the
@@ -571,13 +571,44 @@ class TestSettledVotes:
                 now += 0.01
                 if i == timeout:
                     now = max(now, state.timeout_deadline)
-                    state, out = on_timeout(state, now, CFG)
-                    sent += out
+                    result = on_timeout(state, now, CFG)
+                    state = result.state
+                    sent += result.outbound
                     self._check_own_votes(state, sent)
                 result = handle_message(state, msg, vset, now, CFG)
                 state = result.state
                 sent += result.outbound
                 self._check_own_votes(state, sent)
+
+    @pytest.mark.parametrize("n, trials, effects", [(1, 300, 300), (4, 200, 0), (7, 200, 0), (20, 200, 0)])
+    def test_own_view_change_handed_back_is_inert(self, n, trials, effects):
+        """A node that times out after a random prefix of traffic and is then
+        handed its own ViewChange gets back no message, commit or discard,
+        and keeps its view and deadline.  on_timeout already put its id in
+        the tally for view + 1, and a state at its fixpoint has joined every
+        view that f + 1 others call for, so the tally stays at most f + 1,
+        below quorum for every n >= 4; elections refuse n < 4.  At n = 1 the
+        node's own vote is a quorum, so there it adopts the view: the check
+        sees an effect where one exists."""
+        seen = 0
+        for trial in range(trials):
+            rng = random.Random(trial)
+            vset = vset_of(n)
+            msgs = self._messages(rng, (vset,))
+            state, now = initial_state(0, 0.0, CFG), 0.0
+            for msg in msgs[:rng.randrange(len(msgs) + 1)]:
+                now += 0.01
+                state = handle_message(state, msg, vset, now, CFG).state
+            now = max(now + 0.01, state.timeout_deadline)
+            timed_out = on_timeout(state, now, CFG)
+            (own,) = timed_out.outbound
+            back = handle_message(timed_out.state, own, vset, now, CFG)
+            seen += (
+                bool(back.outbound or back.committed or back.discarded)
+                or back.state.view != timed_out.state.view
+                or back.state.timeout_deadline != timed_out.state.timeout_deadline
+            )
+        assert seen == effects
 
     @staticmethod
     def _check_own_votes(state, sent):
@@ -604,7 +635,8 @@ class TestViewChange:
     def test_timeout_emits_view_change(self):
         state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
-        new_state, out = on_timeout(state, 0.6, self.cfg)
+        result = on_timeout(state, 0.6, self.cfg)
+        new_state, out = result.state, result.outbound
         assert len(out) == 1
         assert isinstance(out[0].body, ViewChange)
         assert out[0].body.new_view == 1
@@ -613,7 +645,8 @@ class TestViewChange:
     def test_timeout_before_deadline_noop(self):
         state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
-        new_state, out = on_timeout(state, 0.4, self.cfg)
+        result = on_timeout(state, 0.4, self.cfg)
+        new_state, out = result.state, result.outbound
         assert out == []
         assert new_state is state
 
@@ -637,9 +670,9 @@ class TestViewChange:
     def test_deadline_backs_off_exponentially(self):
         state = initial_state(0, 0.0, self.cfg)
         state.timeout_deadline = 0.5
-        s1, _ = on_timeout(state, 0.5, self.cfg)
+        s1 = on_timeout(state, 0.5, self.cfg).state
         first_gap = s1.timeout_deadline - 0.5
-        s2, _ = on_timeout(s1, s1.timeout_deadline, self.cfg)
+        s2 = on_timeout(s1, s1.timeout_deadline, self.cfg).state
         second_gap = s2.timeout_deadline - s1.timeout_deadline
         assert second_gap == pytest.approx(first_gap * self.cfg.timeout_backoff)
 
@@ -667,8 +700,9 @@ class TestViewChange:
         views = [state.view]
         now = 0.5
         for _ in range(4):
-            state, out = on_timeout(state, max(now, state.timeout_deadline), self.cfg)
-            target = out[0].body.new_view
+            result = on_timeout(state, max(now, state.timeout_deadline), self.cfg)
+            state = result.state
+            target = result.outbound[0].body.new_view
             for sender in (1, 2, 3):
                 state, _, _ = run_messages(
                     state, [signed_message(sender, ViewChange(target, 1))], self.vset, self.cfg
@@ -691,8 +725,9 @@ class TestViewChange:
                         inboxes[other].append(m)
 
         for node in sorted(states):
-            states[node], out = on_timeout(states[node], 0.5, cfg)
-            broadcast(node, out)
+            result = on_timeout(states[node], 0.5, cfg)
+            states[node] = result.state
+            broadcast(node, result.outbound)
         for _ in range(4):  # drain until stable
             for node in sorted(states):
                 pending, inboxes[node] = inboxes[node], []
@@ -803,7 +838,8 @@ class TestDposBaseline:
         node, _, committed = run_messages(node, msgs, vset, cfg, now=2.0)
         assert committed
         assert node.timeout_deadline == math.inf
-        new_state, out = on_timeout(node, 1e9, cfg)
+        result = on_timeout(node, 1e9, cfg)
+        new_state, out = result.state, result.outbound
         assert new_state is node and out == []
 
 

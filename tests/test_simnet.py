@@ -606,6 +606,20 @@ class TestSeating:
         assert proposals
         assert min(r["t"] for r in proposals) >= scn.consensus.min_block_interval_s
 
+    @pytest.mark.parametrize("protocol", [ProtocolKind.HYBRID, ProtocolKind.PURE_PBFT], ids=lambda p: p.value)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_state_transfer_runs_before_a_deadline_due_with_it(self, protocol, seed):
+        # With timeout_s = SYNC_DELAY_S and no backoff, the timeout that
+        # schedules a state transfer re-arms its deadline for the same
+        # instant.  The transfer runs first and seats a fresh machine, so
+        # that deadline is stale and writes no timeout.
+        scn = mini_scenario(7, jitter=0.01, timeout_s=simnet.SYNC_DELAY_S)
+        scn = replace(scn, consensus=replace(scn.consensus, timeout_backoff=1.0))
+        trace = run(scn, FaultPlan(drop_prob=0.2), protocol, seed).trace
+        syncs = {(r["node"], r["t"]) for r in trace.by_kind("sync")}
+        assert syncs
+        assert not syncs & {(r["node"], r["t"]) for r in trace.by_kind("timeout")}
+
 
 class TestDposTimeouts:
     def test_stalled_dpos_round_does_not_stop_the_clock(self, monkeypatch):
