@@ -64,8 +64,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     table_path = out / "comparison.csv"
     write_csv(table_path, METRICS_COLUMNS, [table_row(r) for r in reports])
     for r in reports:
+        median = f"{r.latency.median:.4f}s" if r.latency.count else "n/a"
         print(
-            f"{r.protocol:>6} seed={r.seed} median={r.latency.median:.4f}s "
+            f"{r.protocol:>6} seed={r.seed} median={median} "
             f"tps={r.throughput_tps:.2f} hash={r.trace_hash[:12]}"
         )
     print(f"wrote {table_path}")

@@ -24,9 +24,10 @@ Every transition, whether a message (``handle_message``) or a timeout
 (``on_timeout``), is a pure function of its inputs and returns one
 ``HandleResult``: a new state (or, where nothing moves, its input) and the
 messages to broadcast, blocks committed and messages discarded.  No
-transition mutates its input state.  Vote tallies are keyed sets of
-distinct senders, so the final state is independent of message arrival
-order.
+transition mutates its input state.  Each vote tally is a bitmask over
+node ids (bit i set once node i has voted for its key), so a vote costs the
+same at any committee size, and since a tally counts distinct senders the
+final state is independent of message arrival order.
 
 Two baseline protocols share the machine: pure-DPoS commits on the
 proposer's block plus a simple majority of acknowledgments in a single
@@ -149,6 +150,10 @@ class ValidatorSet:
     def __post_init__(self) -> None:
         if len(self.members) < 1:
             raise ValueError("validator set must be non-empty")
+        # A member's id is its bit in every vote tally.
+        lowest = min(m.node for m in self.members)
+        if lowest < 0:
+            raise ValueError(f"member id {lowest} is negative; ids must be >= 0")
         order = [(-m.score, m.node) for m in self.members]
         if order != sorted(order):
             raise ValueError("members must be sorted by score desc, node asc")
@@ -292,13 +297,17 @@ class ProtocolConfig:
 FUTURE_WINDOW = 16
 
 VoteKey = tuple[bytes, int]  # (block_hash, view)
+# A vote tally: bit i is set once node i has voted (``mask >> i & 1``); its
+# size is ``mask.bit_count()``.
+Tally = int
 
 
 @dataclass
 class ConsensusState:
     """One node's replicated-state-machine view.
 
-    Container fields hold immutable values (tuples / frozensets / Blocks).
+    Container fields hold immutable values (tuples / frozensets / ints /
+    Blocks); each vote tally is an int bitmask over node ids (``Tally``).
     No transition writes into a container: each rebinds the field to a new
     one (``{**table, key: value}``, ``chain + (block,)``, a filtered copy of
     ``mempool``).  So states may share containers, ``copy()`` is a shallow
@@ -309,9 +318,10 @@ class ConsensusState:
     A node records each vote it casts (prepare, commit or view change) in
     its own tally as it casts it, and that entry is the one record that it
     has voted: it casts no second prepare vote in a view, and no second
-    commit or view-change vote for a key its id is already in.  This needs
-    no node to be handed its own votes, which the simulator keeps: the
-    proposer's PrePrepare is the one message of its own a node is handed.
+    commit or view-change vote for a key whose tally holds its bit.  This
+    needs no node to be handed its own votes, which the simulator keeps:
+    the proposer's PrePrepare is the one message of its own a node is
+    handed.
 
     ``mempool`` maps each pending tx id to its transaction in arrival order,
     so its values are the FIFO queue and its keys the dedupe set.
@@ -346,9 +356,9 @@ class ConsensusState:
     # Current-height stores.
     blocks: dict[bytes, Block] = field(default_factory=dict)
     proposals: dict[NodeId, tuple[bytes, ...]] = field(default_factory=dict)
-    prepare_votes: dict[VoteKey, frozenset[NodeId]] = field(default_factory=dict)
-    commit_votes: dict[VoteKey, frozenset[NodeId]] = field(default_factory=dict)
-    view_change_votes: dict[int, frozenset[NodeId]] = field(default_factory=dict)
+    prepare_votes: dict[VoteKey, Tally] = field(default_factory=dict)
+    commit_votes: dict[VoteKey, Tally] = field(default_factory=dict)
+    view_change_votes: dict[int, Tally] = field(default_factory=dict)
 
     locked_hash: Optional[bytes] = None
     locked_view: int = -1
@@ -429,11 +439,13 @@ def proposal_for_turn(state: ConsensusState, cfg: ProtocolConfig) -> Block:
 
 
 def _add_vote(table: dict, key, sender: NodeId) -> dict:
-    """``table`` with ``sender`` among the voters for ``key`` (unchanged if already)."""
-    existing = table.get(key, frozenset())
-    if sender in existing:
+    """``table`` with ``sender``'s bit set in the tally for ``key`` (the table
+    itself if it is set already)."""
+    existing = table.get(key, 0)
+    bit = 1 << sender
+    if existing & bit:
         return table
-    return {**table, key: existing | {sender}}
+    return {**table, key: existing | bit}
 
 
 def _ingest_vote(r: ConsensusState, body: Prepare | Commit, sender: NodeId) -> int:
@@ -446,7 +458,7 @@ def _ingest_vote(r: ConsensusState, body: Prepare | Commit, sender: NodeId) -> i
         votes = r.prepare_votes = _add_vote(r.prepare_votes, key, sender)
     else:
         votes = r.commit_votes = _add_vote(r.commit_votes, key, sender)
-    return len(votes[key])
+    return votes[key].bit_count()
 
 
 def handle_message(
@@ -567,7 +579,7 @@ def _prepare_vote(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig) ->
     proposal it may vote for."""
     r = res.state
     for (_digest, view), senders in r.prepare_votes.items():
-        if view == r.view and r.node in senders:
+        if view == r.view and senders >> r.node & 1:
             return False
     digest = _candidate_hash(r, vset, cfg)
     if digest is None:
@@ -578,13 +590,13 @@ def _prepare_vote(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig) ->
 
 
 def _commit_on_quorum(
-    res: HandleResult, votes: dict[VoteKey, frozenset[NodeId]], quorum: int,
+    res: HandleResult, votes: dict[VoteKey, Tally], quorum: int,
     now: float, cfg: ProtocolConfig,
 ) -> bool:
     """Commit the first stored block whose tally in ``votes`` reaches quorum."""
     r = res.state
     for (block_hash, _view), senders in votes.items():
-        if len(senders) >= quorum and block_hash in r.blocks:
+        if senders.bit_count() >= quorum and block_hash in r.blocks:
             _apply_commit(res, r.blocks[block_hash], now, cfg)
             return True
     return False
@@ -622,14 +634,14 @@ def _advance(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig, now: fl
 
         # Prepare quorum: lock on the block and commit-vote it.
         for (block_hash, view), senders in r.prepare_votes.items():
-            if len(senders) < quorum or block_hash not in r.blocks:
+            if senders.bit_count() < quorum or block_hash not in r.blocks:
                 continue
             if view > r.locked_view:
                 r.locked_hash = block_hash
                 r.locked_view = view
                 changed = True
             key = (block_hash, view)
-            if r.node not in r.commit_votes.get(key, ()):
+            if not r.commit_votes.get(key, 0) >> r.node & 1:
                 r.commit_votes = _add_vote(r.commit_votes, key, r.node)
                 outbound.append(
                     signed_message(r.node, Commit(block_hash, r.height, view))
@@ -641,14 +653,14 @@ def _advance(res: HandleResult, vset: ValidatorSet, cfg: ProtocolConfig, now: fl
         for new_view, senders in sorted(r.view_change_votes.items()):
             if new_view <= r.view:
                 continue
-            if len(senders) >= join_threshold and r.node not in senders:
+            if senders.bit_count() >= join_threshold and not senders >> r.node & 1:
                 r.view_change_votes = _add_vote(r.view_change_votes, new_view, r.node)
                 senders = r.view_change_votes[new_view]
                 outbound.append(
                     signed_message(r.node, ViewChange(new_view, r.height))
                 )
                 changed = True
-            if len(senders) >= quorum:
+            if senders.bit_count() >= quorum:
                 r.view = new_view
                 r.timeout_deadline = cfg.deadline(now, r.timeouts_since_commit)
                 changed = True

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from uavchain.cli import main
+from uavchain.harness import build_desk_scenario
 from uavchain.scenario import save_scenario
 
 from conftest import mini_scenario
@@ -107,6 +109,17 @@ class TestCompare:
         assert rows1 == rows2
         hashes = [row.split(",")[-1] for row in rows1]
         assert len(set(hashes)) == 3
+
+    def test_run_with_no_commits_prints_no_median(self, tmp_path, scenario_path, capsys):
+        # 0.05 s of the desk scenario commits no block under any protocol.
+        desk = tmp_path / "desk.json"
+        save_scenario(build_desk_scenario({"duration_s": 0.05}), desk)
+        main(["compare", "--scenario", str(desk), "--seeds", "1", "--out", str(tmp_path / "c0")])
+        rows = [line for line in capsys.readouterr().out.splitlines() if "seed=" in line]
+        assert len(rows) == 3 and all(" median=n/a " in row for row in rows)
+        main(["compare", "--scenario", str(scenario_path), "--seeds", "4", "--out", str(tmp_path / "c1")])
+        rows = [line for line in capsys.readouterr().out.splitlines() if "seed=" in line]
+        assert len(rows) == 3 and all(re.search(r" median=\d+\.\d{4}s ", row) for row in rows)
 
     def test_rows_are_metrics_rows(self, tmp_path, scenario_path):
         # comparison.csv is metrics.csv's header, then each (protocol, seed)

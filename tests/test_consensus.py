@@ -54,6 +54,16 @@ def vset_of(n, stakes=None):
     return ValidatorSet(members=members)
 
 
+def voters(tally):
+    """The node ids whose bits are set in a vote tally."""
+    return frozenset(i for i, bit in enumerate(reversed(bin(tally))) if bit == "1")
+
+
+def tallies(table):
+    """A vote table with each tally decoded to its voters."""
+    return {key: voters(tally) for key, tally in table.items()}
+
+
 CFG = ProtocolConfig(policy=ProposerPolicy.ROUND_ROBIN, max_txs_per_block=8)
 
 
@@ -106,6 +116,12 @@ class TestElection:
             elect_validators([profile(i) for i in range(3)], ScoreWeights(), 4)
         with pytest.raises(TooFewNodes):
             elect_validators([profile(i) for i in range(5)], ScoreWeights(), 3)
+
+    def test_negative_member_id_rejected(self):
+        # A member's id is its bit in every vote tally.
+        members = (ValidatorInfo(0, 0.9, 1.0), ValidatorInfo(-1, 0.5, 1.0))
+        with pytest.raises(ValueError, match="member id -1 is negative"):
+            ValidatorSet(members=members)
 
     def test_stake_scaling_invariance(self):
         rng = random.Random(8)
@@ -306,7 +322,7 @@ class TestHandleMessage:
         block, msg = self.make_proposal()
         state = initial_state(0, 0.0, self.cfg)
         result = handle_message(state, msg, self.vset, 0.1, self.cfg)
-        assert result.state.prepare_votes == {(block.block_hash, 0): frozenset({0})}
+        assert tallies(result.state.prepare_votes) == {(block.block_hash, 0): frozenset({0})}
         kinds = [type(m.body) for m in result.outbound]
         assert kinds == [Prepare]
         assert result.outbound[0].body.block_hash == block.block_hash
@@ -373,7 +389,7 @@ class TestHandleMessage:
         prep = signed_message(2, Prepare(block.block_hash, 1, 0))
         state, _, _ = run_messages(state, [msg, prep, prep, prep], self.vset, self.cfg)
         key = (block.block_hash, 0)
-        assert state.prepare_votes[key] == frozenset({0, 2})
+        assert voters(state.prepare_votes[key]) == frozenset({0, 2})
 
     def test_invalid_signature_discarded_and_counted(self):
         state = initial_state(0, 0.0, self.cfg)
@@ -454,7 +470,7 @@ class TestHandleMessage:
         state, _, committed = run_messages(state, msgs, self.vset, self.cfg)
         assert committed
         assert state.future == {}
-        assert state.prepare_votes.get((bytes(32), 0)) == frozenset({2})
+        assert tallies(state.prepare_votes).get((bytes(32), 0)) == frozenset({2})
 
 
 class TestSettledVotes:
@@ -537,7 +553,7 @@ class TestSettledVotes:
                 body = msg.body
                 if isinstance(body, (Prepare, Commit)) and body.view >= state.view:
                     votes = state.prepare_votes if isinstance(body, Prepare) else state.commit_votes
-                    tally = len(votes.get((body.block_hash, body.view), ()))
+                    tally = len(voters(votes.get((body.block_hash, body.view), 0)))
                 before = len(runs)
                 got = handle_message(state, msg, vset, now, CFG)
                 got_runs = len(runs) - before
@@ -610,6 +626,88 @@ class TestSettledVotes:
             )
         assert seen == effects
 
+    @pytest.mark.parametrize("n, trials", [(4, 40), (7, 40), (20, 20), (200, 3)])
+    def test_tally_bits_are_the_distinct_member_senders(self, n, trials):
+        """After every call, the set bits of each tally are exactly the
+        distinct member senders counted for its key, kept here as plain
+        sets: a signed member's vote at the node's height counts unless it
+        is below the node's view (a view change counts only if its view is
+        above the node's), the node's own votes count as it casts them, and
+        a commit empties every tally.  The traffic repeats messages and adds
+        forged ones and votes from ids outside the set; every other member
+        calls view 1, so votes for view 0 that arrive after the node adopts
+        it fall below its view.  At n = 200 a tally's bits run past 64."""
+        below_view = wide = 0
+        for trial in range(trials):
+            rng = random.Random(trial)
+            vset = vset_of(n)
+            traffic = [(msg, True) for msg in self._messages(rng, (vset,))]
+            traffic += [(signed_message(s, ViewChange(1, 1)), True) for s in range(1, n)]
+            for msg, _ in rng.sample(traffic, len(traffic) // 4):
+                traffic += [
+                    (msg, True),
+                    (forged_message(msg.sender, msg.body), False),
+                    (signed_message(n + rng.randrange(3), msg.body), False),
+                ]
+            rng.shuffle(traffic)
+            timeout = rng.randrange(len(traffic))
+            state, now = initial_state(0, 0.0, CFG), 0.0
+            model = {"prepare_votes": {}, "commit_votes": {}, "view_change_votes": {}}
+            for i, (msg, member) in enumerate(traffic):
+                now += 0.01
+                if i == timeout:
+                    now = max(now, state.timeout_deadline)
+                    state = self._check_tallies(model, state, on_timeout(state, now, CFG))
+                if member:
+                    below_view += self._count_vote(model, state, msg)
+                state = self._check_tallies(model, state, handle_message(state, msg, vset, now, CFG))
+                wide += any(t.bit_length() > 64 for t in state.prepare_votes.values())
+        assert below_view > 0
+        assert n < 65 or wide > 0
+
+    @staticmethod
+    def _vote_slot(body):
+        """The tally a vote counts toward: its table's name and its key."""
+        if type(body) is ViewChange:
+            return "view_change_votes", body.new_view
+        table = "prepare_votes" if type(body) is Prepare else "commit_votes"
+        return table, (body.block_hash, body.view)
+
+    @classmethod
+    def _count_vote(cls, model, state, msg):
+        """Count a member's vote at the height of ``state`` in the model;
+        returns 1 for a vote below the state's view, which is dropped."""
+        body = msg.body
+        if type(body) not in (Prepare, Commit, ViewChange) or body.height != state.height:
+            return 0
+        table, key = cls._vote_slot(body)
+        if table == "view_change_votes":
+            below = body.new_view <= state.view
+        else:
+            below = body.view < state.view
+        if below:
+            return 1
+        model[table].setdefault(key, set()).add(msg.sender)
+        return 0
+
+    @classmethod
+    def _check_tallies(cls, model, before, result):
+        """Apply a call's commit and own votes to the model, check every
+        tally against it and return the call's state."""
+        state = result.state
+        if state.height != before.height:
+            for table in model.values():
+                table.clear()
+        for own in result.outbound:
+            if own.body.height == state.height:
+                table, key = cls._vote_slot(own.body)
+                model[table].setdefault(key, set()).add(state.node)
+        for name, want in model.items():
+            table = getattr(state, name)
+            assert all(type(tally) is int for tally in table.values())
+            assert tallies(table) == want
+        return state
+
     @staticmethod
     def _check_own_votes(state, sent):
         bodies = [m.body for m in sent if m.body.height == state.height]
@@ -618,7 +716,7 @@ class TestSettledVotes:
         view_changes = {b.new_view for b in bodies if type(b) is ViewChange}
 
         def own(table):
-            return {key for key, senders in table.items() if state.node in senders}
+            return {key for key, senders in tallies(table).items() if state.node in senders}
 
         assert own(state.prepare_votes) == set(prepares)
         assert own(state.commit_votes) == set(commits)
