@@ -300,6 +300,10 @@ VoteKey = tuple[bytes, int]  # (block_hash, view)
 # A vote tally: bit i is set once node i has voted (``mask >> i & 1``); its
 # size is ``mask.bit_count()``.
 Tally = int
+# A node's pending txs, each tx id mapped to its transaction in arrival order:
+# the values are the FIFO queue, the keys the dedupe set.  The pool is
+# node-local, not agreed state; the simulator keeps one per validator.
+Pool = dict[int, Transaction]
 
 
 @dataclass
@@ -309,11 +313,10 @@ class ConsensusState:
     Container fields hold immutable values (tuples / frozensets / ints /
     Blocks); each vote tally is an int bitmask over node ids (``Tally``).
     No transition writes into a container: each rebinds the field to a new
-    one (``{**table, key: value}``, ``chain + (block,)``, a filtered copy of
-    ``mempool``).  So states may share containers, ``copy()`` is a shallow
-    copy, and past states stay valid.  ``{**d, k: v}`` keeps an existing key
-    in place, as ``d[k] = v`` does, so every table iterates in the same
-    order either way.
+    one (``{**table, key: value}``, ``chain + (block,)``).  So states may
+    share containers, ``copy()`` is a shallow copy, and past states stay
+    valid.  ``{**d, k: v}`` keeps an existing key in place, as ``d[k] = v``
+    does, so every table iterates in the same order either way.
 
     A node records each vote it casts (prepare, commit or view change) in
     its own tally as it casts it, and that entry is the one record that it
@@ -322,9 +325,6 @@ class ConsensusState:
     needs no node to be handed its own votes, which the simulator keeps:
     the proposer's PrePrepare is the one message of its own a node is
     handed.
-
-    ``mempool`` maps each pending tx id to its transaction in arrival order,
-    so its values are the FIFO queue and its keys the dedupe set.
 
     ``committed_ids`` is always the set of tx ids in ``committed_chain``, so
     a membership test costs the same however long the chain grows.  Build a
@@ -342,8 +342,7 @@ class ConsensusState:
     ``handle_message`` records any other vote and skips ``_advance``.
     Invariant: any write to a state outside a transition must clear
     ``settled``, as ``on_timeout`` does; a state fresh from
-    ``initial_state`` has none.  The mempool is exempt, since no transition
-    reads it to fire.
+    ``initial_state`` has none.
     """
 
     node: NodeId
@@ -351,7 +350,6 @@ class ConsensusState:
     committed_chain: tuple[Block, ...]
     committed_ids: frozenset[int]
     view: int = 0
-    mempool: dict[int, Transaction] = field(default_factory=dict)
 
     # Current-height stores.
     blocks: dict[bytes, Block] = field(default_factory=dict)
@@ -385,15 +383,12 @@ class ConsensusState:
             return None
         return self.blocks.get(self.locked_hash)
 
-    def add_transactions(self, txs: Iterable[Transaction]) -> "ConsensusState":
-        new = self.copy()
-        pool = dict(new.mempool)
-        committed = new.committed_ids
+    def add_transactions(self, pool: Pool, txs: Iterable[Transaction]) -> None:
+        """Admit to ``pool`` each of ``txs`` neither pending nor committed here."""
+        committed = self.committed_ids
         for tx in txs:
             if tx.tx_id not in pool and tx.tx_id not in committed:
                 pool[tx.tx_id] = tx
-        new.mempool = pool
-        return new
 
 
 def initial_state(
@@ -422,20 +417,20 @@ class HandleResult(NamedTuple):
     discarded: list[str]
 
 
-def create_block(state: ConsensusState, max_txs: int) -> Block:
-    """Fresh block at the node's next height: FIFO mempool prefix, hashed,
-    signed by this node.  An empty mempool yields a valid heartbeat block."""
-    txs = islice(state.mempool.values(), max_txs)
+def create_block(state: ConsensusState, pool: Pool, max_txs: int) -> Block:
+    """Fresh block at the node's next height: FIFO prefix of ``pool``, hashed,
+    signed by this node.  An empty pool yields a valid heartbeat block."""
+    txs = islice(pool.values(), max_txs)
     return make_block(state.height, state.tip.block_hash, state.node, state.view, txs)
 
 
-def proposal_for_turn(state: ConsensusState, cfg: ProtocolConfig) -> Block:
+def proposal_for_turn(state: ConsensusState, pool: Pool, cfg: ProtocolConfig) -> Block:
     """The block this node should broadcast as proposer for (height, view):
-    its locked block verbatim if it holds one, else a fresh block."""
+    its locked block verbatim if it holds one, else a fresh one from ``pool``."""
     locked = state.locked_block()
     if locked is not None:
         return locked
-    return create_block(state, cfg.max_txs_per_block)
+    return create_block(state, pool, cfg.max_txs_per_block)
 
 
 def _add_vote(table: dict, key, sender: NodeId) -> dict:
@@ -555,9 +550,7 @@ def _apply_commit(res: HandleResult, block: Block, now: float, cfg: ProtocolConf
     res.committed.append(block)
     r.committed_chain = r.committed_chain + (block,)
     r.height += 1
-    included = {tx.tx_id for tx in block.transactions}
-    r.committed_ids = r.committed_ids | included
-    r.mempool = {i: tx for i, tx in r.mempool.items() if i not in included}
+    r.committed_ids = r.committed_ids | {tx.tx_id for tx in block.transactions}
     r.blocks = {}
     r.proposals = {}
     r.prepare_votes = {}

@@ -142,6 +142,8 @@ class SimNode:
     # offset, set once per mobility tick; the transport prices links from it.
     reported: Vec3
     machine: Optional[ConsensusState] = None
+    # Pending txs while the node validates; a commit takes the block's out.
+    mempool: cons.Pool = field(default_factory=dict)
     waypoint: Vec3 = ZERO
     # The last (height, view) a proposal was armed for; a node's pair only grows.
     armed: Optional[tuple[int, int]] = None
@@ -319,7 +321,6 @@ class Simulation:
         # floor after the last one, and genesis counts as one at t = 0.
         self.last_proposal_time = 0.0
         self._failed_proposer_logged: set = set()
-        self._tx_counter = 0
 
         self._init_waypoints()
         self._schedule(scenario.mobility.dt, Simulation._on_mobility, ())
@@ -357,11 +358,12 @@ class Simulation:
         if rate <= 0:
             return
         bits = self.scenario.workload.payload_bits
+        tx_id = 0
         for node_id in sorted(self.nodes):
             t = rng.expovariate(rate)
             while t < self.scenario.duration_s:
-                tx = Transaction(tx_id=self._tx_counter, origin=node_id, payload_bits=bits)
-                self._tx_counter += 1
+                tx = Transaction(tx_id=tx_id, origin=node_id, payload_bits=bits)
+                tx_id += 1
                 self._schedule(t, Simulation._on_tx, (tx,))
                 t += rng.expovariate(rate)
 
@@ -556,6 +558,8 @@ class Simulation:
         for name in result.discarded:
             self.counters[name] += 1
         for block in result.committed:
+            for tx in block.transactions:
+                node.mempool.pop(tx.tx_id, None)
             self._note_commit(node_id, block)
         if state.view != old.view:
             self.counters["view_changes"] += 1
@@ -620,6 +624,7 @@ class Simulation:
         )
         for node_id in sorted(left):
             self.nodes[node_id].machine = None
+            self.nodes[node_id].mempool.clear()
         for node_id in sorted(joined):
             self._seat(node_id)
 
@@ -654,10 +659,9 @@ class Simulation:
         mission = origin.profile.mission.value
         self.trace.add(_TX_ARRIVAL % (tx.payload_bits, mission, tx.origin, seq, self._t(), tx.tx_id), "tx_arrival")
         wire = TxForward(tx)
-        validators = self.vset.ordered_ids if self.vset else ()
         if origin.machine is not None:  # exactly the validators hold a machine
-            origin.machine = origin.machine.add_transactions([tx])
-        self._send(wire, tx.origin, [v for v in validators if v != tx.origin], self._wire_bits(wire))
+            origin.machine.add_transactions(origin.mempool, (tx,))
+        self._send(wire, tx.origin, [v for v in self.vset.ordered_ids if v != tx.origin], self._wire_bits(wire))
 
     def _on_arrivals(self, wire: Any, src: NodeId, sent_at: float, arrivals: list) -> None:
         """Admit the head of a message's arrivals at its receiver, then each
@@ -711,7 +715,7 @@ class Simulation:
         if machine is None:
             return
         if isinstance(wire, TxForward):
-            node.machine = machine.add_transactions([wire.tx])
+            machine.add_transactions(node.mempool, (wire.tx,))
             return
         result = cons.handle_message(machine, wire, self.vset, self.now, self.cfg)
         self._absorb_result(dst, result)
@@ -734,7 +738,9 @@ class Simulation:
         if machine.height > len(self.first_commit):  # already at the tip
             return
         self._seat(node_id)
-        node.machine = node.machine.add_transactions(machine.mempool.values())
+        # The pool stays, in order, less what the adopted chain committed.
+        pending, node.mempool = node.mempool, {}
+        node.machine.add_transactions(node.mempool, pending.values())
         self._record(
             "sync", node=node_id, from_height=machine.height, to_height=node.machine.height,
         )
@@ -747,7 +753,7 @@ class Simulation:
             return
         if self.cfg.proposer_for(self.vset, height, view) != node_id:
             return
-        block = cons.proposal_for_turn(machine, self.cfg)
+        block = cons.proposal_for_turn(machine, node.mempool, self.cfg)
         self.last_proposal_time = self.now
         seq, txs = len(self.trace.lines) + 1, len(block.transactions)
         self.trace.add(_PROPOSAL % (block.block_hash.hex(), height, node_id, seq, self._t(), txs, view), "proposal")

@@ -173,7 +173,7 @@ def test_criterion_3_quorum_oracle_equivalence():
         proposer = cfg.proposer_for(vset, 1, 0)
         observer = (proposer + 1) % n
         pstate = initial_state(proposer, 0.0, cfg)
-        block = create_block(pstate, 4)
+        block = create_block(pstate, {}, 4)
         pre = signed_message(proposer, PrePrepare(block))
         others = [i for i in range(n) if i != observer]
 

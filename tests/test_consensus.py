@@ -231,65 +231,58 @@ class TestQuorum:
 
 class TestCreateBlock:
     def test_fifo_prefix(self):
-        state = initial_state(0, 0.0, CFG)
+        state, pool = initial_state(0, 0.0, CFG), {}
         txs = [Transaction(tx_id=i, origin=1) for i in range(3)]
-        state = state.add_transactions(txs)
-        block = create_block(state, 10)
+        state.add_transactions(pool, txs)
+        block = create_block(state, pool, 10)
         assert block.tx_ids() == (0, 1, 2)
         assert block.height == 1
         assert block.parent_hash == genesis_block().block_hash
-        # Arrival order, not id order; a committed block takes its txs out
-        # and leaves the others in order.
-        vset = vset_of(4)
-        tx = {i: Transaction(tx_id=i, origin=1) for i in (1, 3, 5, 7, 9)}
-        state = initial_state(0, 0.0, CFG)
-        state = state.add_transactions([tx[7], tx[3], tx[9]])
-        state = state.add_transactions([tx[3], tx[1]])
-        assert create_block(state, 10).tx_ids() == (7, 3, 9, 1)
-        assert create_block(state, 2).tx_ids() == (7, 3)
-        proposer = CFG.proposer_for(vset, 1, 0)
-        block = make_block(1, genesis_block().block_hash, proposer, 0, [tx[1], tx[3]])
-        com = Commit(block.block_hash, 1, 0)
-        msgs = [signed_message(proposer, PrePrepare(block))]
-        msgs += [signed_message(i, com) for i in range(1, 4)]
-        state, _, committed = run_messages(state, msgs, vset, CFG)
-        assert committed == [block]
-        state = state.add_transactions([tx[5], tx[1]])
-        assert create_block(state, 10).tx_ids() == (7, 9, 5)
+        # Arrival order, not id order.  That a committed block takes its txs
+        # out and leaves the others in order is the simulator's to keep:
+        # tests/test_simnet.py::TestMempool checks it.
+        tx = {i: Transaction(tx_id=i, origin=1) for i in (1, 3, 7, 9)}
+        state, pool = initial_state(0, 0.0, CFG), {}
+        state.add_transactions(pool, [tx[7], tx[3], tx[9]])
+        state.add_transactions(pool, [tx[3], tx[1]])
+        assert create_block(state, pool, 10).tx_ids() == (7, 3, 9, 1)
+        assert create_block(state, pool, 2).tx_ids() == (7, 3)
 
     def test_empty_mempool_heartbeat(self):
         state = initial_state(0, 0.0, CFG)
-        block = create_block(state, 10)
+        block = create_block(state, {}, 10)
         assert block.transactions == ()
 
     def test_created_block_validates_against_tip(self):
         from uavchain.domain import block_is_valid
 
-        state = initial_state(2, 0.0, CFG)
-        state = state.add_transactions([Transaction(tx_id=5, origin=0)])
-        block = create_block(state, 10)
+        state, pool = initial_state(2, 0.0, CFG), {}
+        state.add_transactions(pool, [Transaction(tx_id=5, origin=0)])
+        block = create_block(state, pool, 10)
         assert block_is_valid(block, state.tip.block_hash, state.height)
 
     def test_max_txs_cap(self):
-        state = initial_state(0, 0.0, CFG)
-        state = state.add_transactions(
-            [Transaction(tx_id=i, origin=1) for i in range(20)]
+        state, pool = initial_state(0, 0.0, CFG), {}
+        state.add_transactions(
+            pool, [Transaction(tx_id=i, origin=1) for i in range(20)]
         )
-        assert len(create_block(state, 8).transactions) == 8
+        assert len(create_block(state, pool, 8).transactions) == 8
 
     def test_mempool_dedupe(self):
-        state = initial_state(0, 0.0, CFG)
+        state, pool = initial_state(0, 0.0, CFG), {}
         tx = Transaction(tx_id=1, origin=0)
-        state = state.add_transactions([tx])
-        state = state.add_transactions([tx])
-        assert len(state.mempool) == 1
+        state.add_transactions(pool, [tx])
+        state.add_transactions(pool, [tx])
+        assert len(pool) == 1
 
     def test_state_at_chain_refuses_committed_tx(self):
         old, new = (Transaction(tx_id=i, origin=1) for i in (4, 5))
         chain = (genesis_block(), make_block(1, genesis_block().block_hash, 1, 0, [old]))
         state = initial_state(0, 0.0, CFG, chain)
         assert (state.height, state.tip, state.committed_ids) == (2, chain[-1], {4})
-        assert tuple(state.add_transactions([old, new]).mempool.values()) == (new,)
+        pool = {}
+        state.add_transactions(pool, [old, new])
+        assert tuple(pool.values()) == (new,)
 
 
 def run_messages(state, msgs, vset, cfg, now=0.0):
@@ -303,7 +296,7 @@ def run_messages(state, msgs, vset, cfg, now=0.0):
 
 
 def proposal_from(vset, cfg, proposer_state):
-    block = create_block(proposer_state, cfg.max_txs_per_block)
+    block = create_block(proposer_state, {}, cfg.max_txs_per_block)
     return block, signed_message(proposer_state.node, PrePrepare(block))
 
 
@@ -834,7 +827,7 @@ class TestViewChange:
         assert all(s.view == 1 for s in states.values())
         new_proposer = cfg.proposer_for(self.vset, 1, 1)
         assert new_proposer in states
-        block = proposal_for_turn(states[new_proposer], cfg)
+        block = proposal_for_turn(states[new_proposer], {}, cfg)
         pre_prepare = signed_message(new_proposer, PrePrepare(block))
         result = handle_message(states[new_proposer], pre_prepare, self.vset, 0.7, cfg)
         states[new_proposer] = result.state
@@ -857,8 +850,7 @@ class TestLocking:
         cfg = CFG
         proposer0 = cfg.proposer_for(vset, 1, 0)
         pstate = initial_state(proposer0, 0.0, cfg)
-        pstate = pstate.add_transactions([Transaction(tx_id=1, origin=0)])
-        block_a = create_block(pstate, 8)
+        block_a = create_block(pstate, {1: Transaction(tx_id=1, origin=0)}, 8)
         msg_a = signed_message(proposer0, PrePrepare(block_a))
 
         observer = initial_state(0, 0.0, cfg) if proposer0 != 0 else initial_state(3, 0.0, cfg)
@@ -880,7 +872,7 @@ class TestLocking:
         proposer1 = cfg.proposer_for(vset, 1, 1)
         fresh = initial_state(proposer1, 0.0, cfg)
         fresh.view = 1
-        block_b = create_block(fresh, 8)
+        block_b = create_block(fresh, {}, 8)
         msg_b = signed_message(proposer1, PrePrepare(block_b))
         observer, out, _ = run_messages(observer, [msg_b], vset, cfg)
         prepares_for_b = [
@@ -895,7 +887,7 @@ class TestLocking:
         cfg = CFG
         proposer = cfg.proposer_for(vset, 1, 0)
         pstate = initial_state(proposer, 0.0, cfg)
-        block = create_block(pstate, 8)
+        block = create_block(pstate, {}, 8)
         msg = signed_message(proposer, PrePrepare(block))
         node = initial_state(0 if proposer != 0 else 3, 0.0, cfg)
         com = Commit(block.block_hash, 1, 0)
@@ -911,7 +903,7 @@ class TestDposBaseline:
         vset = vset_of(4)
         proposer = cfg.proposer_for(vset, 1, 0)  # height mod n
         pstate = initial_state(proposer, 0.0, cfg)
-        block = create_block(pstate, 8)
+        block = create_block(pstate, {}, 8)
         msg = signed_message(proposer, PrePrepare(block))
         node = initial_state((proposer + 1) % 4, 0.0, cfg)
         node, out, committed = run_messages(node, [msg], vset, cfg)
@@ -928,7 +920,7 @@ class TestDposBaseline:
         proposer = cfg.proposer_for(vset, 1, 0)
         node = initial_state((proposer + 1) % 4, 0.0, cfg)
         assert node.timeout_deadline == math.inf
-        block = create_block(initial_state(proposer, 0.0, cfg), 8)
+        block = create_block(initial_state(proposer, 0.0, cfg), {}, 8)
         ack = Prepare(block.block_hash, 1, 0)
         other = next(i for i in range(4) if i not in (node.node, proposer))
         msgs = [signed_message(proposer, PrePrepare(block))]
@@ -961,7 +953,7 @@ class TestDoubleSigningProposer:
         honest = [node for node in range(4) if node != proposer]
         pstate = initial_state(proposer, 0.0, cfg)
         blocks = [
-            create_block(pstate.add_transactions([Transaction(tx_id=tx, origin=proposer)]), 8)
+            create_block(pstate, {tx: Transaction(tx_id=tx, origin=proposer)}, 8)
             for tx in (1, 2)
         ]
         assert blocks[0].block_hash != blocks[1].block_hash

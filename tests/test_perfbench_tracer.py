@@ -45,6 +45,7 @@ def test_tracer_wraps_entry_points_without_changing_the_run():
     for name in (
         "consensus.proposer_for",
         "consensus.handle_message",
+        "consensus.add_transactions",
         "consensus.copy",
         "domain.verifies",
         "radio.link_capacity",

@@ -687,3 +687,57 @@ class TestPurity:
         # Commits, view changes, syncs and future-height replay all happen here.
         scn = mini_scenario(7, duration=3.0, trace_detail="full", reelect_every=5)
         return Simulation(scn, canonical_fault_plan(scn, 2), protocol, 2)
+
+
+class TestMempool:
+    @pytest.mark.parametrize("case", ["hybrid", "dpos", "pbft", "reelection-2", "reelection-3"])
+    def test_pool_follows_commits_syncs_and_the_committee(self, monkeypatch, case):
+        """Each validator's pool of pending txs lives on its ``SimNode``.
+        Every commit takes the block's txs out and leaves the others in
+        arrival order; a state transfer keeps the pool, in order, less what
+        the adopted chain committed.  At the end no validator's pool holds a
+        tx of its own chain, and a node outside the committee holds none.
+        A simulator that skipped the removal on commit, or on sync, fails
+        here (the hybrid run's four syncs drop four committed txs), and
+        so does one that kept a leaver's pool (at seed 3 the UAV voted out
+        holds six pending txs)."""
+        counts = Counter()
+        absorb, sync = Simulation._absorb_result, Simulation._on_sync
+
+        def checked_absorb(sim, node_id, result):
+            node = sim.nodes[node_id]
+            before = list(node.mempool.items())
+            absorb(sim, node_id, result)
+            if result.committed:
+                taken = {tx.tx_id for block in result.committed for tx in block.transactions}
+                kept = [(i, tx) for i, tx in before if i not in taken] if node.machine else []
+                assert list(node.mempool.items()) == kept
+                counts["commits"] += 1
+
+        def checked_sync(sim, node_id):
+            node = sim.nodes[node_id]
+            before, machine = list(node.mempool.items()), node.machine
+            sync(sim, node_id)
+            if node.machine is not machine:
+                committed = node.machine.committed_ids
+                assert list(node.mempool.items()) == [(i, tx) for i, tx in before if i not in committed]
+                counts["syncs"] += 1
+
+        monkeypatch.setattr(Simulation, "_absorb_result", checked_absorb)
+        monkeypatch.setattr(Simulation, "_on_sync", checked_sync)
+        if case.startswith("reelection"):
+            scn, plan = swapping_reelection()
+            sim = Simulation(scn, plan, ProtocolKind.HYBRID, int(case[-1]))
+        else:
+            sim = TestPurity._simulation(ProtocolKind(case))
+        result = sim.run()
+        assert counts["commits"] > 0
+        assert (counts["syncs"] > 0) is (case == "hybrid")
+        for node_id, node in sim.nodes.items():
+            if node_id not in sim.vset.ids:
+                assert node.mempool == {}
+                continue
+            chain_ids = {tx.tx_id for block in node.machine.committed_chain for tx in block.transactions}
+            assert not chain_ids & node.mempool.keys()
+        if case.startswith("reelection"):
+            assert result.trace.by_kind("reelection")
